@@ -5,8 +5,8 @@
 //
 //	table1   state-space sizes for voting systems 0-5 (exact match)
 //	table2   distributed scalability: time/speedup/efficiency vs workers
-//	fleet    the same scalability over a real TCP worker fleet (v3
-//	         protocol; -json writes the rows for trend tracking)
+//	fleet    the same scalability over a real TCP worker fleet (-json
+//	         writes the rows for trend tracking)
 //	vector   multi-source workload: K source weightings over one
 //	         (model, targets, times) query — scalar replay (K solves)
 //	         vs the vector engine (one solve + K dot-product reads);
@@ -18,7 +18,7 @@
 //	         contour-ordered evaluator vs a fresh evaluator per
 //	         s-point; -json writes the trajectory for trend tracking
 //	shard    sharded vs monolithic fleet solves at equal worker
-//	         counts: wire v4 row-block sharding against whole-point
+//	         counts: row-block sharding against whole-point
 //	         farming, with measured and cluster-projected wall times
 //	         and the differential max|Δ|; -json writes the rows for
 //	         trend tracking
@@ -277,11 +277,11 @@ func residentReuse(full bool, jsonPath string) error {
 	return os.WriteFile(jsonPath, append(b, '\n'), 0o644)
 }
 
-// shardScaling measures wire v4 row-block sharding against whole-point
-// farming at equal worker counts, one row per partition strategy
-// (lockstep / planned / planned+batched) so the boundary-vertex,
-// exchanged-value and exchange-second columns attribute the exchange
-// tax — the projected column beating the monolithic path is the
+// shardScaling measures row-block sharding against whole-point farming
+// at equal worker counts, one row per conduct (planned /
+// planned+batched) so the boundary-vertex (planned next to the naive
+// contiguous split's), exchanged-value and exchange-second columns
+// attribute the exchange tax — the projected column beating the monolithic path is the
 // sharded engine's acceptance property, and the differential
 // max|Δ| ≤ 1e-6 is enforced before any timing counts — and optionally
 // records the rows as JSON for trend tracking in CI. -full adds a
@@ -301,12 +301,12 @@ func shardScaling(full bool, jsonPath string) error {
 		}
 		rows = append(rows, big...)
 	}
-	fmt.Println("workers,strategy,points,states,mono_s,mono_proj_s,shard_s,shard_proj_s,proj_speedup,sweeps,boundary,exchanged,compute_s,exchange_s,max_delta")
+	fmt.Println("workers,strategy,points,states,mono_s,mono_proj_s,shard_s,shard_proj_s,proj_speedup,sweeps,boundary,naive_boundary,exchanged,compute_s,exchange_s,max_delta")
 	for _, r := range rows {
-		fmt.Printf("%d,%s,%d,%d,%.4f,%.4f,%.4f,%.4f,%.2f,%d,%d,%d,%.4f,%.4f,%.2e\n",
+		fmt.Printf("%d,%s,%d,%d,%.4f,%.4f,%.4f,%.4f,%.2f,%d,%d,%d,%d,%.4f,%.4f,%.2e\n",
 			r.Workers, r.Strategy, r.Points, r.States, r.MonoSeconds, r.MonoProjSeconds,
 			r.ShardSeconds, r.ShardProjSeconds, r.ProjSpeedup,
-			r.ShardSweeps, r.ShardBoundary, r.ShardExchanged,
+			r.ShardSweeps, r.ShardBoundary, r.NaiveBoundary, r.ShardExchanged,
 			r.ComputeSeconds, r.ExchangeSeconds, r.MaxDelta)
 	}
 	if jsonPath == "" {

@@ -1,8 +1,7 @@
 // Command hydra-master runs the master side of the distributed analysis
 // pipeline (§4): it computes the s-points the inverter demands, serves
-// them to hydra-worker processes over TCP (a one-shot fleet speaking
-// wire protocol v4 — batched assignments, fingerprint-checked
-// handshake), checkpoints every returned value, and performs the final
+// them to hydra-worker processes over TCP (a one-shot fleet — batched
+// assignments, version- and fingerprint-checked handshake), checkpoints every returned value, and performs the final
 // inversion when all values are in. Workers may join mid-run; a worker
 // that dies has its in-flight batch requeued for the others.
 //

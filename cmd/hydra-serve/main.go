@@ -14,7 +14,7 @@
 //	hydra-serve -addr :8700 -backend fleet -listen :9441
 //
 // The second form executes every computation on a resident fleet of
-// hydra-worker processes connected to -listen (wire protocol v4)
+// hydra-worker processes connected to -listen
 // instead of the in-process pool: start workers with
 //
 //	hydra-worker -spec model.dnamaca -master host:9441 -reconnect
@@ -80,7 +80,7 @@ func main() {
 		batch         = flag.Int("batch", 8, "s-points per fleet assignment message")
 		fleetWait     = flag.Duration("fleet-wait", 2*time.Minute, "fail a job after this long with no capable fleet worker (0 waits forever)")
 		shardHint     = flag.Int("shard", 0, "split each fleet solve into up to N row-block shards across workers (0 or 1 = whole-point batches)")
-		shardInner    = flag.Int("shard-inner", 0, "max local sweeps a shard member may run per halo exchange (v4.1 workers only; 0 or 1 = lock-step, the gauge still accepts convergence only on lock-step exchanges)")
+		shardInner    = flag.Int("shard-inner", 0, "max local sweeps a shard member may run per halo exchange (0 or 1 = lock-step, the gauge still accepts convergence only on lock-step exchanges)")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the HTTP listener")
 		logJSON       = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)

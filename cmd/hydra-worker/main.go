@@ -6,17 +6,18 @@
 //
 // The worker must be started with the same model the master serves; the
 // handshake advertises the model's fingerprint and state count so the
-// master routes only matching jobs here (wire protocol v4).
+// master routes only matching jobs here. Master and worker must speak
+// the same wire protocol version; a mismatch is rejected at the
+// handshake with a message naming both versions.
 //
 // Usage:
 //
 //	hydra-worker -spec model.dnamaca -master host:9441 [-name node7]
 //	hydra-worker -spec model.dnamaca -master host:9441 -reconnect
 //
-// Besides whole s-point batches, a v4 worker can hold one row block of
-// a sharded solve, exchanging boundary sub-vector entries with its
-// sibling workers through the master each sweep; -shard=false withholds
-// that capability at the handshake, keeping the worker batch-only.
+// Besides whole s-point batches, a worker can hold one row block of a
+// sharded solve, exchanging boundary sub-vector entries with its
+// sibling workers through the master each sweep.
 //
 // Against a one-shot hydra-master, run without -reconnect: the worker
 // exits when the job's fleet closes. Against a resident hydra-serve
@@ -52,8 +53,6 @@ func main() {
 		debugAddr  = flag.String("pprof", "", "serve /metrics and /debug/pprof/ on this address (e.g. :9442); empty disables")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		warm       = flag.Bool("warm", true, "warm-start iterative solves from the previous s-point of a contour batch")
-		shard      = flag.Bool("shard", true, "offer to hold row blocks of sharded solves (wire v4); false serves whole-point batches only")
-		shardExt   = flag.Bool("shard-ext", true, "announce the v4.1 shard extensions (planned boundary-minimizing blocks, overlapped halo exchange, multi-sweep batching); false pins the worker to plain v4 lock-step conduct")
 	)
 	flag.Parse()
 	if *master == "" {
@@ -87,7 +86,7 @@ func main() {
 		"model", model.Fingerprint(), "states", model.NumStates(),
 		"master", *master, "wire_version", pipeline.ProtocolVersion, "reconnect", *reconnect)
 
-	wopts := hydra.WorkerOptions{Name: *name, Logger: logger, Tracer: obs.DefaultTracer, NoShard: !*shard, NoShardExt: !*shardExt}
+	wopts := hydra.WorkerOptions{Name: *name, Logger: logger, Tracer: obs.DefaultTracer}
 	opts := &hydra.Options{}
 	opts.Solver.WarmStart = *warm
 	backoff := time.Second

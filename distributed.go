@@ -35,12 +35,13 @@ type Cache = pipeline.Cache
 type Backend = pipeline.Backend
 
 // Fleet re-exports the resident TCP worker fleet — the Backend that
-// serves solves on persistent hydra-worker connections (wire protocol
-// v4, still serving v3 batch workers): workers join and leave freely,
-// vector results travel as chunked frames, batches lost to dead
-// workers are requeued, one fleet serves every model its workers hold,
-// and solves with a shard hint split into row blocks across
-// shard-capable workers.
+// serves solves on persistent hydra-worker connections: workers join
+// and leave freely, vector results travel as chunked frames, batches
+// lost to dead workers are requeued, one fleet serves every model its
+// workers hold, and solves with a shard hint split into row blocks
+// across the workers. Master and workers must be built from the same
+// wire protocol version; a mismatched worker is rejected at the
+// handshake with a message naming both versions.
 type Fleet = pipeline.Fleet
 
 // FleetOptions re-exports the fleet tuning knobs.
@@ -307,9 +308,13 @@ func (m *Model) RunJob(job *Job, times []float64, cache Cache, opts *Options) (*
 // s-point of the job has been computed by connected workers, then
 // inverts with the same inverter configuration used to build the job.
 // checkpointPath may be empty. The fleet (and the listener with it) is
-// closed before returning, which dismisses the workers cleanly; for a
-// resident master that survives many jobs, use NewFleet and
-// Options.Backend instead.
+// closed before returning, which dismisses the connected workers
+// cleanly. That is the one-shot contract: the master does not wait for
+// workers it never saw, so a worker that has not completed its handshake
+// when the job finishes sees a connection error (refused, or reset
+// mid-handshake) instead of a dismissal. For a resident master that
+// survives many jobs and late joiners, use NewFleet and Options.Backend
+// instead.
 func (m *Model) ServeMaster(ln net.Listener, job *Job, times []float64, checkpointPath string, opts *Options) (*Result, error) {
 	var cache pipeline.Cache
 	if checkpointPath != "" {
@@ -352,6 +357,8 @@ func (m *Model) RunWorker(addr, name string, opts *Options) error {
 // RunWorkerWith is RunWorker with the full worker option set — use it
 // to attach a structured logger and a span tracer, so worker-side
 // batches carry the trace IDs their masters stamped on run headers.
+// Besides whole s-point batches the worker hosts row blocks of sharded
+// solves, and announces that in its handshake.
 func (m *Model) RunWorkerWith(addr string, wopts WorkerOptions, opts *Options) error {
 	model := m.ss.Model
 	solverOpts := opts.solver()
@@ -359,18 +366,11 @@ func (m *Model) RunWorkerWith(addr string, wopts WorkerOptions, opts *Options) e
 		Fingerprint: m.fingerprint,
 		States:      m.NumStates(),
 		Evaluator:   pipeline.NewSolverEvaluator(model, solverOpts),
-		// Row-block shard constructor for wire v4 sharded solves: the
-		// master assigns this worker rows [lo,hi) of the kernel and the
-		// member exchanges only boundary sub-vector entries per sweep.
-		// WorkerOptions.NoShard withholds the capability at handshake.
-		NewShard: func(spec *pipeline.SolveSpec, lo, hi int) (passage.ShardMember, error) {
-			return passage.NewShardSolver(model, solverOpts, lo, hi, spec.Targets)
-		},
-		// Planned variant (wire v4.1): the worker derives its own block
-		// from the shared boundary-minimizing partition plan, so every
-		// rev-1 member computes an identical placement without the master
-		// ever holding the kernel. WorkerOptions.NoShardExt pins the
-		// worker to plain rev-0 conduct.
+		// Shard constructor: the worker derives its own row block from
+		// the shared boundary-minimizing partition plan, so every member
+		// computes an identical placement without the master ever holding
+		// the kernel, and exchanges only boundary sub-vector entries per
+		// sweep.
 		NewShardPlanned: func(spec *pipeline.SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error) {
 			sv, pl, err := passage.NewPlannedShardSolver(model, solverOpts, parts, part, spec.Targets)
 			if sv == nil || err != nil {

@@ -1,6 +1,6 @@
 // Fleet: run a resident worker fleet inside one process — the backend
 // hydra-serve uses in "-backend fleet" mode. One Fleet accepts TCP
-// workers (wire protocol v3) and stays up across jobs; analyses routed
+// workers and stays up across jobs; analyses routed
 // through Options.Backend are farmed out in s-point batches to whoever
 // is connected, and a worker that joins mid-run is handed work
 // immediately.

@@ -5,8 +5,10 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hydra"
+	"hydra/internal/leaktest"
 )
 
 const quickSpec = `
@@ -202,6 +204,10 @@ func TestCheckpointThroughFacade(t *testing.T) {
 	}
 }
 
+// TestDistributedMasterWorker drives the public distributed API both
+// ways: a resident fleet that two workers join before the job runs (both
+// must be dismissed cleanly by Close, leaving no goroutine behind), and
+// the one-shot ServeMaster with the one worker it waits for.
 func TestDistributedMasterWorker(t *testing.T) {
 	m, err := hydra.LoadSpec(quickSpec)
 	if err != nil {
@@ -212,34 +218,69 @@ func TestDistributedMasterWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 2)
-	for w := 0; w < 2; w++ {
-		go func(w int) {
-			done <- m.RunWorker(ln.Addr().String(), "w", nil)
-		}(w)
-	}
-	r, err := m.ServeMaster(ln, job, ms.Times, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}
 	ref, err := m.PassageDensity(ms.Sources, ms.Targets, ms.Times, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range r.Values {
-		if math.Abs(r.Values[i]-ref.Values[i]) > 1e-12 {
-			t.Fatalf("distributed value %d differs: %v vs %v", i, r.Values[i], ref.Values[i])
+	check := func(t *testing.T, r *hydra.Result) {
+		t.Helper()
+		for i := range r.Values {
+			if math.Abs(r.Values[i]-ref.Values[i]) > 1e-12 {
+				t.Fatalf("distributed value %d differs: %v vs %v", i, r.Values[i], ref.Values[i])
+			}
 		}
 	}
+
+	t.Run("fleet", func(t *testing.T) {
+		noLeak := leaktest.Check(t)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := hydra.NewFleet(ln, hydra.FleetOptions{})
+		defer fleet.Close()
+		done := make(chan error, 2)
+		for _, name := range []string{"w0", "w1"} {
+			go func(name string) { done <- m.RunWorker(ln.Addr().String(), name, nil) }(name)
+		}
+		for deadline := time.Now().Add(10 * time.Second); len(fleet.Snapshot().Connected) < 2; {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d/2 workers joined the fleet", len(fleet.Snapshot().Connected))
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		r, err := m.RunJob(job, ms.Times, nil, &hydra.Options{Backend: fleet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r)
+		fleet.Close()
+		for i := 0; i < 2; i++ {
+			if err := <-done; err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}
+		noLeak()
+	})
+
+	t.Run("one-shot", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One worker: the listener already accepts, so its dial queues
+		// until ServeMaster serves it, and the job cannot finish without it.
+		done := make(chan error, 1)
+		go func() { done <- m.RunWorker(ln.Addr().String(), "w", nil) }()
+		r, err := m.ServeMaster(ln, job, ms.Times, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r)
+		if err := <-done; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	})
 }
 
 func TestOptionsValidation(t *testing.T) {

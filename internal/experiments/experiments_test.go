@@ -151,7 +151,7 @@ func TestShardScalingRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStrategies := []string{"lockstep", "planned", "planned+batched"}
+	wantStrategies := []string{"planned", "planned+batched"}
 	if len(rows) != len(wantStrategies) {
 		t.Fatalf("rows = %d, want one per strategy (%d)", len(rows), len(wantStrategies))
 	}
@@ -165,7 +165,7 @@ func TestShardScalingRuns(t *testing.T) {
 		if r.MonoSeconds <= 0 || r.ShardSeconds <= 0 || r.MonoProjSeconds <= 0 || r.ShardProjSeconds <= 0 {
 			t.Errorf("non-positive timings: %+v", r)
 		}
-		if r.ShardSweeps == 0 || r.ShardExchanged == 0 || r.ShardBoundary == 0 {
+		if r.ShardSweeps == 0 || r.ShardExchanged == 0 || r.ShardBoundary == 0 || r.NaiveBoundary < r.ShardBoundary {
 			t.Errorf("shard telemetry missing: %+v", r)
 		}
 	}

@@ -8,14 +8,16 @@ import (
 	"time"
 
 	"hydra"
+	"hydra/internal/partition"
+	"hydra/internal/passage"
 	"hydra/internal/pipeline"
 )
 
 // ShardScalingConfig sizes the sharded-solve datapoint: the same
 // passage solve executed twice over real TCP fleets of W workers each —
 // once the monolithic way (whole s-points farmed out, one worker per
-// point) and once sharded (every s-point split into W row blocks over
-// wire v4, boundary sub-vectors exchanged per sweep). The interesting
+// point) and once sharded (every s-point split into W row blocks,
+// boundary sub-vectors exchanged per sweep). The interesting
 // regime is one solve of a large model: farm parallelism is capped at
 // the s-point count (a single point leaves W−1 workers idle) while
 // shard parallelism splits the sweep itself — but each sweep costs a
@@ -39,9 +41,8 @@ type ShardScalingConfig struct {
 	// minimum wall is the standard low-noise estimator.
 	Reps int
 	// Strategies lists the shard conducts to measure per worker count
-	// (default all three): "lockstep" pins the workers to plain wire v4
-	// (naive contiguous blocks, one exchange per sweep), "planned" adds
-	// the v4.1 boundary-minimizing partition with overlapped exchange,
+	// (default both): "planned" is the boundary-minimizing partition
+	// with one exchange per sweep (overlapped on large blocks),
 	// "planned+batched" adds multi-sweep batching on top.
 	Strategies []string
 }
@@ -63,7 +64,7 @@ func (c ShardScalingConfig) withDefaults() ShardScalingConfig {
 		c.Reps = 3
 	}
 	if len(c.Strategies) == 0 {
-		c.Strategies = []string{"lockstep", "planned", "planned+batched"}
+		c.Strategies = []string{"planned", "planned+batched"}
 	}
 	return c
 }
@@ -80,9 +81,9 @@ func (c ShardScalingConfig) withDefaults() ShardScalingConfig {
 // framing overhead stays in both projections at its measured cost.
 type ShardRow struct {
 	Workers int `json:"workers"`
-	// Strategy names the shard conduct measured: "lockstep" (plain wire
-	// v4), "planned" (v4.1 boundary-minimizing blocks + overlapped
-	// exchange), or "planned+batched" (+ multi-sweep batching).
+	// Strategy names the shard conduct measured: "planned"
+	// (boundary-minimizing blocks) or "planned+batched" (+ multi-sweep
+	// batching).
 	Strategy         string  `json:"strategy"`
 	Points           int     `json:"points"`
 	States           int     `json:"states"`
@@ -98,8 +99,11 @@ type ShardRow struct {
 	ShardExchanged int64   `json:"shard_exchanged_values"`
 	// The partition-quality split: boundary vertices crossing blocks per
 	// exchange, summed member compute, and the exchange tax (per-round
-	// wall beyond the slowest member's compute).
+	// wall beyond the slowest member's compute). NaiveBoundary is the
+	// same count for the naive contiguous split (partition.ShardBlocks)
+	// of the same model, computed statically — what the plan saves.
 	ShardBoundary   int     `json:"shard_boundary_vertices"`
+	NaiveBoundary   int     `json:"naive_boundary_vertices"`
 	ComputeSeconds  float64 `json:"shard_compute_seconds"`
 	ExchangeSeconds float64 `json:"shard_exchange_seconds"`
 	// MaxDelta is the largest |shard − mono| over every vector entry of
@@ -139,8 +143,11 @@ func ShardScaling(cfg ShardScalingConfig) ([]ShardRow, error) {
 
 	var rows []ShardRow
 	for _, w := range cfg.Workers {
+		naive := partition.FromRanges(partition.ShardBlocks(spec.ModelStates, w, targets), spec.ModelStates)
+		naiveBoundary, _ := partition.ExchangeCost(passage.KernelGraph(m.SMP()), naive)
+
 		monoSpec := *spec
-		monoVecs, monoStats, monoSecs, err := runShardArmBest(m, &monoSpec, w, warmOpts, 0, false, cfg.Reps)
+		monoVecs, monoStats, monoSecs, err := runShardArmBest(m, &monoSpec, w, warmOpts, 0, cfg.Reps)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mono arm (%d workers): %w", w, err)
 		}
@@ -162,10 +169,7 @@ func ShardScaling(cfg ShardScalingConfig) ([]ShardRow, error) {
 
 		for _, strategy := range cfg.Strategies {
 			inner := 0
-			noExt := false
 			switch strategy {
-			case "lockstep":
-				noExt = true
 			case "planned":
 			case "planned+batched":
 				inner = cfg.InnerSweeps
@@ -174,7 +178,7 @@ func ShardScaling(cfg ShardScalingConfig) ([]ShardRow, error) {
 			}
 			shardSpec := *spec
 			shardSpec.ShardHint = w
-			shardVecs, shardStats, shardSecs, err := runShardArmBest(m, &shardSpec, w, warmOpts, inner, noExt, cfg.Reps)
+			shardVecs, shardStats, shardSecs, err := runShardArmBest(m, &shardSpec, w, warmOpts, inner, cfg.Reps)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: shard arm %s (%d workers): %w", strategy, w, err)
 			}
@@ -219,6 +223,7 @@ func ShardScaling(cfg ShardScalingConfig) ([]ShardRow, error) {
 				ShardSweeps:     shardStats.ShardSweeps,
 				ShardExchanged:  shardStats.ShardExchanged,
 				ShardBoundary:   shardStats.ShardBoundary,
+				NaiveBoundary:   naiveBoundary,
 				ComputeSeconds:  shardCompute,
 				ExchangeSeconds: time.Duration(shardStats.ShardExchangeNS).Seconds(),
 				MaxDelta:        maxDelta,
@@ -231,12 +236,12 @@ func ShardScaling(cfg ShardScalingConfig) ([]ShardRow, error) {
 // runShardArmBest runs the arm reps times and keeps the fastest run
 // (vectors, stats and wall together, so the projection inputs stay
 // consistent with the reported time).
-func runShardArmBest(m *hydra.Model, spec *hydra.SolveSpec, w int, opts *hydra.Options, inner int, noExt bool, reps int) ([][]complex128, *hydra.RunStats, float64, error) {
+func runShardArmBest(m *hydra.Model, spec *hydra.SolveSpec, w int, opts *hydra.Options, inner int, reps int) ([][]complex128, *hydra.RunStats, float64, error) {
 	var bestVecs [][]complex128
 	var bestStats *hydra.RunStats
 	bestSecs := 0.0
 	for r := 0; r < max(reps, 1); r++ {
-		vecs, stats, secs, err := runShardArm(m, spec, w, opts, inner, noExt)
+		vecs, stats, secs, err := runShardArm(m, spec, w, opts, inner)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -253,10 +258,8 @@ func runShardArmBest(m *hydra.Model, spec *hydra.SolveSpec, w int, opts *hydra.O
 // how a resident service amortizes handshakes). BatchSize 1 gives the
 // monolithic arm its best farm parallelism; the sharded arm ignores
 // batching entirely. inner > 1 authorizes multi-sweep batching on the
-// conductor; noExt pins the workers to shard rev 0, which downgrades
-// the whole session to plain v4 lock-step conduct with naive
-// contiguous blocks.
-func runShardArm(m *hydra.Model, spec *hydra.SolveSpec, w int, opts *hydra.Options, inner int, noExt bool) ([][]complex128, *hydra.RunStats, float64, error) {
+// conductor.
+func runShardArm(m *hydra.Model, spec *hydra.SolveSpec, w int, opts *hydra.Options, inner int) ([][]complex128, *hydra.RunStats, float64, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, 0, err
@@ -275,8 +278,7 @@ func runShardArm(m *hydra.Model, spec *hydra.SolveSpec, w int, opts *hydra.Optio
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wopts := hydra.WorkerOptions{Name: fmt.Sprintf("w%d", i), NoShardExt: noExt}
-			workerErrs[i] = m.RunWorkerWith(ln.Addr().String(), wopts, opts)
+			workerErrs[i] = m.RunWorkerWith(ln.Addr().String(), hydra.WorkerOptions{Name: fmt.Sprintf("w%d", i)}, opts)
 		}(i)
 	}
 	for deadline := time.Now().Add(60 * time.Second); len(fleet.Snapshot().Connected) < w; {

@@ -87,8 +87,8 @@ type Options struct {
 	// run per halo exchange (multi-sweep batching, block-Jacobi with
 	// stale halos). The conductor adapts the actual count per exchange
 	// from the observed contraction rate and never exceeds this cap.
-	// 0 or 1 means lock-step: one exchange per sweep, the wire v4
-	// behaviour. Only sharded solves read it.
+	// 0 or 1 means lock-step: one exchange per sweep. Only sharded
+	// solves read it.
 	ShardInnerSweeps int
 	// ShardOverlapRows gates overlapped halo exchange (early-boundary
 	// frames shipped while interior rows sweep) by block size: overlap

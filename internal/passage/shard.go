@@ -25,10 +25,10 @@ import (
 
 // ShardMember is one row block's side of the distributed sweep
 // protocol. The conductor calls, in order: HaloColumns and SetBoundary
-// once at session setup, then per s-point BeginPoint, zero or more
-// Sweeps, and Finish. All value slices are ordered to match the column
-// and row lists exchanged at setup: halo values follow HaloColumns,
-// boundary values follow the rows passed to SetBoundary.
+// once at session setup, then per s-point BeginPoint (or BeginPointFP),
+// zero or more SweepNs, and Finish. All value slices are ordered to
+// match the column and row lists exchanged at setup: halo values follow
+// HaloColumns, boundary values follow the rows passed to SetBoundary.
 type ShardMember interface {
 	// Range returns the member's half-open row block [lo, hi).
 	Range() (lo, hi int)
@@ -37,7 +37,7 @@ type ShardMember interface {
 	// receive before every sweep.
 	HaloColumns() []int
 	// SetBoundary fixes the sorted rows of this block whose values other
-	// members need; BeginPoint and Sweep return values for exactly these
+	// members need; BeginPoint and SweepN return values for exactly these
 	// rows, in order.
 	SetBoundary(rows []int) error
 	// BeginPoint prepares the block for a new s-point (filling the block
@@ -45,35 +45,24 @@ type ShardMember interface {
 	// column for a cold point, the warm-start extrapolation for a warm
 	// one. It returns the seed's boundary values.
 	BeginPoint(s complex128, warm bool) ([]complex128, error)
-	// Sweep runs one lock-step iteration given the other blocks' current
-	// halo values, returning the new boundary values and the block's
-	// contribution to the global increment max-norm.
-	Sweep(halo []complex128) (boundary []complex128, norm float64, err error)
+	// BeginPointFP prepares a new s-point for the fixed-point iteration
+	// z = e⃗ + U′·z, which converges from any start — what multi-sweep
+	// batching with stale halos relies on: warm seeds the extrapolated
+	// iterate exactly like BeginPoint, cold seeds the target-indicator
+	// column e⃗. Subsequent sweeps run the pinned fixed-point update in
+	// either case.
+	BeginPointFP(s complex128, warm bool) ([]complex128, error)
+	// SweepN runs inner (≥ 1) local sweeps against one halo exchange —
+	// the other blocks' current halo values — and returns the boundary
+	// values of the final sweep and the block's contribution to the
+	// global increment max-norm. inner == 1 is the lock-step iteration;
+	// inner > 1 requires a fixed-point begin. When early is non-nil it is
+	// invoked once with the final sweep's boundary values before interior
+	// rows are computed, and the returned boundary slice is nil.
+	SweepN(halo []complex128, inner int, early func(boundary []complex128)) (boundary []complex128, norm float64, err error)
 	// Finish closes a converged point given the final halo values and
 	// returns the block's slice of the answer vector (length hi-lo).
 	Finish(halo []complex128) ([]complex128, error)
-}
-
-// ShardMemberExt extends ShardMember with the wire v4.1 exchange
-// optimisations: a fixed-point begin (an iteration that converges from
-// any start, which multi-sweep batching with stale halos relies on) and
-// a generalised sweep that can run several local inner iterations per
-// halo exchange and ship boundary rows before interior rows are
-// computed.
-type ShardMemberExt interface {
-	ShardMember
-	// BeginPointFP prepares a new s-point for the fixed-point iteration
-	// z = e⃗ + U′·z: warm seeds the extrapolated iterate exactly like
-	// BeginPoint, cold seeds the target-indicator column e⃗. Subsequent
-	// sweeps run the pinned fixed-point update in either case.
-	BeginPointFP(s complex128, warm bool) ([]complex128, error)
-	// SweepN runs inner (≥ 1) local sweeps against one halo exchange and
-	// returns the boundary values and increment max-norm of the final
-	// sweep. inner > 1 requires a fixed-point begin. When early is
-	// non-nil it is invoked once with the final sweep's boundary values
-	// before interior rows are computed and the returned boundary slice
-	// is nil; SweepN(halo, 1, nil) is exactly Sweep(halo).
-	SweepN(halo []complex128, inner int, early func(boundary []complex128)) (boundary []complex128, norm float64, err error)
 }
 
 // ShardComputeReporter is optionally implemented by members that can
@@ -346,7 +335,7 @@ func (sv *ShardSolver) BeginPoint(s complex128, warm bool) ([]complex128, error)
 	return sv.boundaryVals(), nil
 }
 
-// BeginPointFP implements ShardMemberExt. A warm begin is exactly
+// BeginPointFP implements ShardMember. A warm begin is exactly
 // BeginPoint's warm path (the warm iteration already is the fixed
 // point); a cold begin seeds e⃗ and iterates the same pinned update, so
 // inner sweeps with stale halos stay a convergent block-Jacobi scheme
@@ -461,17 +450,15 @@ func (sv *ShardSolver) sweepOnceSeries(early func([]complex128)) float64 {
 	return m
 }
 
-// Sweep implements ShardMember.
-func (sv *ShardSolver) Sweep(halo []complex128) ([]complex128, float64, error) {
-	return sv.SweepN(halo, 1, nil)
-}
-
-// SweepN implements ShardMemberExt.
+// SweepN implements ShardMember.
 func (sv *ShardSolver) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
 	start := time.Now()
 	defer func() { sv.lastComputeNS = time.Since(start).Nanoseconds() }()
 	if inner < 1 {
 		inner = 1
+	}
+	if inner > sv.opts.MaxR {
+		return nil, 0, fmt.Errorf("passage: %d inner sweeps exceed the %d-sweep cap", inner, sv.opts.MaxR)
 	}
 	if inner > 1 && sv.mode == modeSeries {
 		return nil, 0, fmt.Errorf("passage: inner-sweep batching requires a fixed-point begin")
@@ -573,11 +560,9 @@ type ShardStats struct {
 	ExchangeNS int64 // per-round wall beyond the slowest member's compute, summed
 }
 
-// ShardTuning selects the wire v4.1 exchange optimisations. The zero
-// value is the plain wire v4 lock-step conduct; either field requires
-// every member to implement ShardMemberExt (the session silently
-// downgrades to lock-step otherwise, so mixed-capability fleets stay
-// correct).
+// ShardTuning selects the exchange optimisations. The zero value is
+// lock-step conduct: the cold accumulator series, one halo exchange per
+// sweep, boundary values returned after the whole block is swept.
 type ShardTuning struct {
 	// Overlap ships each member's boundary rows before its interior
 	// rows are computed, so boundary exchange rides under interior
@@ -589,8 +574,6 @@ type ShardTuning struct {
 	// contraction rate; ≤ 1 means lock-step.
 	InnerSweeps int
 }
-
-func (t ShardTuning) active() bool { return t.Overlap || t.InnerSweeps > 1 }
 
 // innerPlanner adapts the inner-sweep count to the observed per-sweep
 // contraction ρ̂: from increment norm m, reaching Epsilon takes about
@@ -652,12 +635,9 @@ type ShardSession struct {
 	haloBuf [][]complex128
 	elapsed []int64
 
-	// tuning is the effective wire v4.1 conduct; ext holds the members'
-	// extended interface (same order) when tuning is active, and
+	tuning ShardTuning
 	// earlyErrs collects per-member early-frame validation failures
-	// raised inside the fan-out callbacks.
-	tuning    ShardTuning
-	ext       []ShardMemberExt
+	// raised inside the fan-out callbacks of an overlapped exchange.
 	earlyErrs []error
 
 	haveSeed bool
@@ -667,17 +647,9 @@ type ShardSession struct {
 
 // NewShardSession validates that the members' blocks tile [0, n) and
 // distributes the boundary ledger: every halo column of every member is
-// routed to the block that owns it. Conduct is plain wire v4 lock-step;
-// use NewShardSessionTuned for the v4.1 exchange optimisations.
-func NewShardSession(n int, members []ShardMember, opts Options) (*ShardSession, error) {
-	return NewShardSessionTuned(n, members, opts, ShardTuning{})
-}
-
-// NewShardSessionTuned is NewShardSession with overlap and inner-sweep
-// batching. Tuning engages only when every member implements
-// ShardMemberExt; otherwise the session downgrades to lock-step (see
-// Tuning for the effective values).
-func NewShardSessionTuned(n int, members []ShardMember, opts Options, tuning ShardTuning) (*ShardSession, error) {
+// routed to the block that owns it. tuning selects overlapped exchange
+// and inner-sweep batching; its zero value is lock-step conduct.
+func NewShardSession(n int, members []ShardMember, opts Options, tuning ShardTuning) (*ShardSession, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("passage: shard session with no members")
 	}
@@ -687,6 +659,9 @@ func NewShardSessionTuned(n int, members []ShardMember, opts Options, tuning Sha
 		members: append([]ShardMember(nil), members...),
 		bvals:   make([]complex128, n),
 		elapsed: make([]int64, len(members)),
+
+		tuning:    tuning,
+		earlyErrs: make([]error, len(members)),
 	}
 	sort.Slice(ss.members, func(i, j int) bool {
 		li, _ := ss.members[i].Range()
@@ -730,32 +705,8 @@ func NewShardSessionTuned(n int, members []ShardMember, opts Options, tuning Sha
 			return nil, err
 		}
 	}
-	if tuning.active() {
-		ext := make([]ShardMemberExt, len(ss.members))
-		ok := true
-		for w, m := range ss.members {
-			if e, is := m.(ShardMemberExt); is {
-				ext[w] = e
-			} else {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			if tuning.InnerSweeps < 1 {
-				tuning.InnerSweeps = 1
-			}
-			ss.tuning = tuning
-			ss.ext = ext
-			ss.earlyErrs = make([]error, len(ss.members))
-		}
-	}
 	return ss, nil
 }
-
-// Tuning reports the session's effective conduct — the requested tuning
-// when every member supports it, the lock-step zero value otherwise.
-func (ss *ShardSession) Tuning() ShardTuning { return ss.tuning }
 
 func (ss *ShardSession) ownerOf(row int) int {
 	return sort.Search(len(ss.his), func(w int) bool { return row < ss.his[w] })
@@ -882,18 +833,13 @@ func (ss *ShardSession) solvePoint(s complex128, warm bool) ([]complex128, int, 
 	batch := ss.tuning.InnerSweeps > 1
 	begin := make([][]complex128, len(ss.members))
 	err := ss.each(func(w int) error {
-		var vals []complex128
 		var err error
 		if batch {
-			vals, err = ss.ext[w].BeginPointFP(s, warm)
+			begin[w], err = ss.members[w].BeginPointFP(s, warm)
 		} else {
-			vals, err = ss.members[w].BeginPoint(s, warm)
+			begin[w], err = ss.members[w].BeginPoint(s, warm)
 		}
-		if err != nil {
-			return err
-		}
-		begin[w] = vals
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, 0, err
@@ -920,30 +866,15 @@ func (ss *ShardSession) solvePoint(s complex128, warm bool) ([]complex128, int, 
 			ss.gatherHalo(w)
 		}
 		inner := k
-		var err error
-		if ss.tuning.active() {
-			err = ss.each(func(w int) error {
-				var early func([]complex128)
-				if ss.tuning.Overlap {
-					early = ss.earlyScatter(w)
-				}
-				b, norm, err := ss.ext[w].SweepN(ss.haloBuf[w], inner, early)
-				if err != nil {
-					return err
-				}
-				bounds[w], norms[w] = b, norm
-				return nil
-			})
-		} else {
-			err = ss.each(func(w int) error {
-				b, norm, err := ss.members[w].Sweep(ss.haloBuf[w])
-				if err != nil {
-					return err
-				}
-				bounds[w], norms[w] = b, norm
-				return nil
-			})
-		}
+		err := ss.each(func(w int) error {
+			var early func([]complex128)
+			if ss.tuning.Overlap {
+				early = ss.earlyScatter(w)
+			}
+			var err error
+			bounds[w], norms[w], err = ss.members[w].SweepN(ss.haloBuf[w], inner, early)
+			return err
+		})
 		sweeps += inner
 		if err != nil {
 			return nil, sweeps, err
@@ -1028,7 +959,7 @@ func SolveSharded(m *smp.Model, opts Options, parts int, targets []int, points [
 		}
 		members[i] = sv
 	}
-	ss, err := NewShardSession(m.N(), members, opts)
+	ss, err := NewShardSession(m.N(), members, opts, ShardTuning{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -205,11 +205,11 @@ func TestShardSessionRejectsBadTilings(t *testing.T) {
 		{mk(2, 10)},           // does not start at 0
 	}
 	for i, members := range cases {
-		if _, err := NewShardSession(10, members, Options{}); err == nil {
+		if _, err := NewShardSession(10, members, Options{}, ShardTuning{}); err == nil {
 			t.Errorf("case %d: bad tiling accepted", i)
 		}
 	}
-	if _, err := NewShardSession(10, nil, Options{}); err == nil {
+	if _, err := NewShardSession(10, nil, Options{}, ShardTuning{}); err == nil {
 		t.Error("empty member list accepted")
 	}
 }

@@ -19,6 +19,9 @@ import (
 // kernelGraph adapts a model's kernel sparsity to partition.Graph.
 type kernelGraph struct{ m *smp.Model }
 
+// KernelGraph presents a model's kernel sparsity to the partitioner.
+func KernelGraph(m *smp.Model) partition.Graph { return kernelGraph{m} }
+
 func (g kernelGraph) NumRows() int                  { return g.m.N() }
 func (g kernelGraph) Neighbors(i int, fn func(int)) { g.m.KernelCols(i, fn) }
 
@@ -101,8 +104,8 @@ func plannedSolver(m *smp.Model, opts Options, plan partition.Plan, part int, ta
 }
 
 // SolveShardedPlanned is SolveSharded with the boundary-minimizing plan
-// and the wire v4.1 conduct (overlap, inner-sweep batching) — the
-// in-process reference for the tuned distributed path. Answers come
+// and the given conduct (overlap, inner-sweep batching) — the
+// in-process reference for the fleet's distributed path. Answers come
 // back in original state order regardless of the plan's ordering.
 func SolveShardedPlanned(m *smp.Model, opts Options, parts int, targets []int, points []complex128, segment int, tuning ShardTuning) ([][]complex128, *ShardStats, error) {
 	plan := PlanShardBlocks(m, parts, targets)
@@ -114,7 +117,7 @@ func SolveShardedPlanned(m *smp.Model, opts Options, parts int, targets []int, p
 		}
 		members = append(members, sv)
 	}
-	ss, err := NewShardSessionTuned(m.N(), members, opts, tuning)
+	ss, err := NewShardSession(m.N(), members, opts, tuning)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// shardTunings enumerates the wire v4.1 conduct combinations every
+// shardTunings enumerates the conduct combinations every
 // differential test must hold under: lock-step, overlapped exchange,
 // inner-sweep batching, and both at once.
 var shardTunings = []struct {
@@ -178,139 +178,6 @@ func TestShardedPlannedLockstepBitwise(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepNLockstepEqualsSweep pins the wire v4.1 compatibility
-// contract at the member level: SweepN(halo, 1, nil) must be the same
-// operation as Sweep, sweep by sweep, on a live solve. With two members
-// each block's halo columns all live in the other block, so the values
-// one member ships (SetBoundary order) are exactly the halo the other
-// consumes (HaloColumns order).
-func TestSweepNLockstepEqualsSweep(t *testing.T) {
-	r := rand.New(rand.NewSource(414))
-	n := 14
-	m := randomSMP(r, n)
-	targets := []int{3}
-	s := complex(0.9, 0.4)
-
-	mk := func() (*ShardSolver, *ShardSolver) {
-		a, err := NewShardSolver(m, Options{}, 0, 7, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewShardSolver(m, Options{}, 7, n, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.SetBoundary(b.HaloColumns()); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SetBoundary(a.HaloColumns()); err != nil {
-			t.Fatal(err)
-		}
-		return a, b
-	}
-	runSweeps := func(a, b *ShardSolver, useN bool) ([]complex128, []complex128) {
-		pa, err := a.BeginPoint(s, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := b.BeginPoint(s, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for sw := 0; sw < 6; sw++ {
-			var na, nb []complex128
-			var err error
-			if useN {
-				na, _, err = a.SweepN(pb, 1, nil)
-			} else {
-				na, _, err = a.Sweep(pb)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if useN {
-				nb, _, err = b.SweepN(pa, 1, nil)
-			} else {
-				nb, _, err = b.Sweep(pa)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			pa, pb = na, nb
-		}
-		return pa, pb
-	}
-	a1, b1 := mk()
-	wa, wb := runSweeps(a1, b1, false)
-	a2, b2 := mk()
-	ga, gb := runSweeps(a2, b2, true)
-	for i := range wa {
-		if ga[i] != wa[i] {
-			t.Fatalf("member a boundary %d: SweepN %v vs Sweep %v", i, ga[i], wa[i])
-		}
-	}
-	for i := range wb {
-		if gb[i] != wb[i] {
-			t.Fatalf("member b boundary %d: SweepN %v vs Sweep %v", i, gb[i], wb[i])
-		}
-	}
-}
-
-// TestSessionDowngradesWithoutExt: a session built over members that do
-// not implement ShardMemberExt must silently fall back to lock-step
-// conduct, matching the v4-worker negotiation rule.
-func TestSessionDowngradesWithoutExt(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	n := 10
-	m := randomSMP(r, n)
-	targets := []int{4}
-	mk := func(lo, hi int) ShardMember {
-		sv, err := NewShardSolver(m, Options{}, lo, hi, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plainMember{sv}
-	}
-	members := []ShardMember{mk(0, 5), mk(5, 10)}
-	ss, err := NewShardSessionTuned(n, members, Options{}, ShardTuning{Overlap: true, InnerSweeps: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ss.Tuning(); got.active() {
-		t.Fatalf("session kept tuning %+v over members without the extension", got)
-	}
-	s := complex(0.8, 0.2)
-	mono := NewSolver(m, Options{})
-	want, _, err := mono.IterativeVectorLST(s, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ss.SolvePoint(s, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if d := cmplx.Abs(got[j] - want[j]); d > 1e-12 {
-			t.Errorf("state %d: %v vs %v", j, got[j], want[j])
-		}
-	}
-}
-
-// plainMember hides the v4.1 extension methods, leaving only the base
-// ShardMember surface — the in-process stand-in for a rev-0 worker.
-type plainMember struct{ sv *ShardSolver }
-
-func (p plainMember) Range() (int, int)            { return p.sv.Range() }
-func (p plainMember) HaloColumns() []int           { return p.sv.HaloColumns() }
-func (p plainMember) SetBoundary(rows []int) error { return p.sv.SetBoundary(rows) }
-func (p plainMember) BeginPoint(s complex128, warm bool) ([]complex128, error) {
-	return p.sv.BeginPoint(s, warm)
-}
-func (p plainMember) Sweep(halo []complex128) ([]complex128, float64, error) {
-	return p.sv.Sweep(halo)
-}
-func (p plainMember) Finish(halo []complex128) ([]complex128, error) { return p.sv.Finish(halo) }
 
 // TestInnerPlannerAdapts pins the adaptive-k policy: no estimate or
 // rising norms mean lock-step, steady contraction grows k toward the

@@ -26,7 +26,7 @@ import (
 //     resource shared by every request of a resident service.
 //
 // Two implementations ship with the package: InProc (the goroutine
-// pool) and Fleet (resident TCP workers, wire protocol v3).
+// pool) and Fleet (resident TCP workers).
 type Backend interface {
 	Execute(spec *SolveSpec, cache Cache) ([][]complex128, *RunStats, error)
 }

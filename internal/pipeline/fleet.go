@@ -14,58 +14,42 @@ import (
 	"hydra/internal/passage"
 )
 
-// Wire protocol v3 — the vector-engine upgrade of the v2 resident-fleet
-// protocol. The handshake (versioned hello/welcome with readable
-// rejects), fingerprint routing, batched assignments and requeue
-// semantics are carried over from v2 unchanged; what changed is the
-// payload:
+// The fleet wire protocol. A worker opens with a bare-gob hello and the
+// master answers with a bare-gob welcome — accepting, or carrying a
+// readable reject; everything after the handshake travels in gob
+// interface envelopes, so batch and shard messages share one stream:
 //
 //   - a run header describes a source-free SolveSpec (no sources or
 //     weights travel — the vector answer is source-independent);
-//   - each evaluated s-point returns the full source-indexed transform
-//     vector, which travels as *chunked frames*: a vector larger than
-//     the frame budget is split across several frame messages
-//     (Offset/Total reassembly on the master), so a million-state
-//     vector never has to materialise as one gob message;
+//   - assignments carry batches of s-points, and each evaluated point
+//     returns the full source-indexed transform vector as *chunked
+//     frames*: a vector larger than the frame budget is split across
+//     several frame messages (Offset/Total reassembly on the master), so
+//     a million-state vector never has to materialise as one gob message;
 //   - a worker that fails mid-frame-stream has exactly its unfinished
-//     points requeued, as v2 did for whole batches.
+//     points requeued;
+//   - a sharded solve recruits idle connections as shard members (see
+//     fleetshard.go) and returns them to batch duty afterwards.
 
-// ProtocolVersion is the fleet wire protocol generation. Workers
-// announce theirs in the hello; the master accepts its own generation
-// and, for unsharded batch work, the previous one. v4 adds sharded
-// solves — contiguous row blocks of one kernel held by different
-// workers, exchanging boundary sub-vector values between lock-step
-// sweeps — and moves post-handshake framing into gob interface
-// envelopes so heterogeneous shard and batch messages can share a
-// connection. v3 carried vector results (chunked frames) where v2
-// carried scalars; v3 streams stay bare-framed.
-const ProtocolVersion = 4
+// ProtocolVersion is the one fleet wire protocol generation this binary
+// speaks. Workers announce theirs in the hello and the master accepts
+// exactly its own; any change to the message set bumps it, so a
+// mismatched pair of binaries meets a readable reject instead of a
+// decode error.
+const ProtocolVersion = 5
 
-// oldestServedVersion is the earliest worker generation the master
-// still serves. v3 workers receive batch assignments exactly as a v3
-// master sent them; only sharded runs require v4.
-const oldestServedVersion = 3
-
-// helloV2Msg opens a fleet connection (worker → master). The struct
-// (and its wire name) is shared by protocol generations v2+ — only the
-// Version value distinguishes them — so mixed-version handshakes always
-// decode and reject readably.
-type helloV2Msg struct {
+// helloMsg opens a fleet connection (worker → master). The handshake
+// field names Version, WorkerName and Reject are frozen across protocol
+// generations — gob matches fields by name — so mixed-version
+// handshakes always decode and reject readably.
+type helloMsg struct {
 	Version    int
 	WorkerName string
 	Models     []modelAd
-	// NoShard, announced by v4+ workers, opts the worker out of hosting
-	// shard blocks; it still serves whole s-point batches. Absent from
-	// v3 hellos (decoding false) — the version check alone keeps v3
-	// workers out of sharded runs.
-	NoShard bool
-	// ShardRev announces the worker's shard conduct revision within wire
-	// v4. Rev 0 (absent from older hellos, decoding zero) is the plain
-	// lock-step conduct; rev 1 adds the v4.1 exchange optimisations —
-	// plan-based placement, overlapped boundary frames, multi-sweep
-	// batching. A session's conduct is the minimum revision over its
-	// recruited members, so mixed fleets keep serving.
-	ShardRev int
+	// Shard announces that the worker hosts row blocks of sharded solves
+	// (some model of its carries a planned shard constructor); without it
+	// the worker serves whole s-point batches only.
+	Shard bool
 }
 
 // modelAd advertises one model a worker holds.
@@ -74,24 +58,19 @@ type modelAd struct {
 	States      int
 }
 
-// welcomeMsg answers the hello (master → worker). On rejection, Reject
-// carries the reason and ModelStates is -1 — the v1 sentinel, kept so a
-// v1 worker that reaches a v3 master decodes this message as its job
-// header and fails its legacy "master rejected handshake" path instead
-// of hanging.
+// welcomeMsg answers the hello (master → worker). Version is always the
+// master's own; a non-empty Reject refuses the worker and says why.
 type welcomeMsg struct {
-	Version     int
-	ModelStates int
-	Reject      string
+	Version int
+	Reject  string
 }
 
-// runHeaderV3Msg describes a solve once per (worker, run): everything
+// runHeaderMsg describes a solve once per (worker, run): everything
 // an evaluator needs except the s-values themselves. Note the absence
-// of sources/weights — v3 runs are SolveSpecs. TraceID carries the
+// of sources/weights — runs are SolveSpecs. TraceID carries the
 // originating request's ID so worker-side spans and log lines
-// correlate with the master's; gob omits absent/zero fields, so
-// pre-trace masters and workers interoperate unchanged.
-type runHeaderV3Msg struct {
+// correlate with the master's.
+type runHeaderMsg struct {
 	Name        string
 	ModelFP     string
 	ModelStates int
@@ -100,26 +79,26 @@ type runHeaderV3Msg struct {
 	TraceID     string
 }
 
-// assignBatchV3Msg carries up to BatchSize s-points (master → worker).
+// assignBatchMsg carries up to BatchSize s-points (master → worker).
 // Header is set on the first batch of a run sent to this worker; Forget
 // lists runs that have ended so the worker can drop their state. Done
 // tells the worker the fleet is shutting down.
-type assignBatchV3Msg struct {
+type assignBatchMsg struct {
 	Done    bool
 	RunID   int64
-	Header  *runHeaderV3Msg
+	Header  *runHeaderMsg
 	Forget  []int64
 	Indices []int
 	Points  []complex128
 }
 
-// pointFrameV3 is one chunk of one evaluated s-point's vector (worker →
+// pointFrame is one chunk of one evaluated s-point's vector (worker →
 // master). Total is the full vector length; Data holds the values at
 // [Offset, Offset+len(Data)). A non-empty Err reports the evaluator's
 // failure for that index (no data travels) without tearing down the
 // connection: the master aborts the affected run, the worker keeps
 // serving other jobs.
-type pointFrameV3 struct {
+type pointFrame struct {
 	Index  int
 	Offset int
 	Total  int
@@ -127,19 +106,17 @@ type pointFrameV3 struct {
 	Err    string
 }
 
-// resultFrameV3Msg carries a batch of frames answering one assignment
+// resultFrameMsg carries a batch of frames answering one assignment
 // (worker → master). A worker streams as many of these as the frame
 // budget requires and sets Last on the final one. The Last message
 // also carries the batch's phase attribution (nanoseconds keyed by
 // phase name), summed iteration depth, and the warm-start tally
 // (solves seeded from a neighbouring s-point, and the sweeps that
-// saved) when the worker's evaluator reports them — absent fields
-// decode as zero on older masters, so the additions are
-// wire-compatible within v3.
-type resultFrameV3Msg struct {
+// saved) when the worker's evaluator reports them.
+type resultFrameMsg struct {
 	RunID       int64
 	Last        bool
-	Frames      []pointFrameV3
+	Frames      []pointFrame
 	PhaseNS     map[string]int64
 	TotalDepth  int64
 	WarmStarts  int64
@@ -163,15 +140,13 @@ type FleetOptions struct {
 	IdleTimeout time.Duration
 	// WaitTimeout bounds how long Execute tolerates having zero
 	// connected workers capable of its solve before failing it. Zero
-	// means wait indefinitely (the v1 Serve behaviour: the master idles
-	// until workers arrive).
+	// means wait indefinitely: the master idles until workers arrive.
 	WaitTimeout time.Duration
 	// RequireFingerprint/RequireStates, when set, make the handshake
 	// reject workers that do not advertise a matching model — the
-	// one-shot master behaviour (v1 cross-checked the state count at
-	// handshake), where a mismatched worker should fail loudly on its
-	// own console rather than idle unrouted forever. An empty
-	// fingerprint matches by state count alone and zero states by
+	// one-shot master behaviour, where a mismatched worker should fail
+	// loudly on its own console rather than idle unrouted forever. An
+	// empty fingerprint matches by state count alone and zero states by
 	// fingerprint alone; resident fleets leave both unset and accept any
 	// model a registry might serve.
 	RequireFingerprint string
@@ -179,8 +154,8 @@ type FleetOptions struct {
 	// Logf receives diagnostics (rejected handshakes, requeues). Nil
 	// discards them.
 	Logf func(format string, args ...any)
-	// ShardOptions is the solver configuration for sharded (wire v4)
-	// runs: it drives the conductor's convergence gauge and warm-start
+	// ShardOptions is the solver configuration for sharded runs: it
+	// drives the conductor's convergence gauge and warm-start
 	// policy, and must match the options the workers build their shard
 	// members with. The zero value uses the solver defaults with warm
 	// starts off.
@@ -229,68 +204,38 @@ type Fleet struct {
 type fleetConn struct {
 	name      string
 	conn      net.Conn
-	version   int            // negotiated wire generation (3 or 4)
-	shardOK   bool           // v4 worker that will host shard blocks
-	shardRev  int            // shard conduct revision (0 lock-step, 1 = v4.1)
+	shardOK   bool           // the worker hosts shard blocks
 	models    map[string]int // fingerprint → state count
 	started   map[int64]bool // runs this worker has the header of
 	assigned  int            // points handed to this worker (lifetime)
 	completed int            // points it answered (lifetime)
 }
 
-// fleetCodec frames post-handshake traffic for one worker connection.
-// v3 streams are bare gob — each side statically knows the next message
-// type, exactly as a v3 master framed them. v4 streams wrap every
-// message in a gob interface envelope, so the registered wire name
-// travels with each message and a connection can interleave batch
-// assignments with shard traffic. The handshake itself is always bare:
-// that is what keeps mixed-generation rejects readable.
+// fleetCodec frames post-handshake traffic for one worker connection:
+// every message travels in a gob interface envelope, so the registered
+// wire name rides with it and a connection can interleave batch
+// assignments with shard traffic. The handshake itself is bare: that is
+// what keeps mixed-generation rejects readable.
 type fleetCodec struct {
-	version int
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	enc *gob.Encoder
+	dec *gob.Decoder
 }
 
-// send writes one message under the connection's framing.
-func (k *fleetCodec) send(msg any) error {
-	if k.version >= 4 {
-		return k.enc.Encode(&msg)
-	}
-	return k.enc.Encode(msg)
-}
+// send writes one enveloped message.
+func (k *fleetCodec) send(msg any) error { return k.enc.Encode(&msg) }
 
-// recvAny reads one enveloped message (v4 streams only).
-func (k *fleetCodec) recvAny() (any, error) {
+// recv reads one enveloped message.
+func (k *fleetCodec) recv() (any, error) {
 	var msg any
-	if err := k.dec.Decode(&msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
-}
-
-// recvResult reads the next result-frame message under the
-// connection's framing.
-func (k *fleetCodec) recvResult(res *resultFrameV3Msg) error {
-	if k.version < 4 {
-		return k.dec.Decode(res)
-	}
-	msg, err := k.recvAny()
-	if err != nil {
-		return err
-	}
-	r, ok := msg.(resultFrameV3Msg)
-	if !ok {
-		return fmt.Errorf("pipeline: expected result frames, got %T", msg)
-	}
-	*res = r
-	return nil
+	err := k.dec.Decode(&msg)
+	return msg, err
 }
 
 // fleetRun is one Execute in progress.
 type fleetRun struct {
 	id       int64
 	spec     *SolveSpec
-	header   runHeaderV3Msg
+	header   runHeaderMsg
 	pending  []int // unassigned point indices (guarded by Fleet.mu)
 	requeued int   // points returned to pending after a worker loss
 	results  chan fleetResult
@@ -443,7 +388,7 @@ func (f *Fleet) Execute(spec *SolveSpec, cache Cache) ([][]complex128, *RunStats
 
 	run := &fleetRun{
 		spec: spec,
-		header: runHeaderV3Msg{
+		header: runHeaderMsg{
 			Name:        spec.Name,
 			ModelFP:     spec.ModelFP,
 			ModelStates: spec.ModelStates,
@@ -592,15 +537,14 @@ func (f *Fleet) requeue(run *fleetRun, indices []int, worker string) {
 
 // serves reports whether a connection's advertised models cover a run.
 // An empty spec fingerprint falls back to the state-count check; a zero
-// state count (hand-built specs) matches any worker — mirroring v1's
-// MasterOptions.ModelStates == 0 escape hatch.
+// state count (hand-built specs) matches any worker.
 func (c *fleetConn) serves(r *fleetRun) bool {
 	return c.servesHeader(&r.header)
 }
 
 // servesHeader is the model-match check shared by batch dispatch and
 // shard recruiting.
-func (c *fleetConn) servesHeader(h *runHeaderV3Msg) bool {
+func (c *fleetConn) servesHeader(h *runHeaderMsg) bool {
 	if h.ModelFP != "" {
 		states, ok := c.models[h.ModelFP]
 		return ok && (h.ModelStates == 0 || states == h.ModelStates)
@@ -716,90 +660,110 @@ func (f *Fleet) batchCapLocked(r *fleetRun) int {
 	return n
 }
 
+// vectorLimit bounds the vector length a worker may announce for a run:
+// the spec's state count, or for hand-built specs without one, the
+// largest model the worker itself advertised.
+func (c *fleetConn) vectorLimit(h *runHeaderMsg) int {
+	if h.ModelStates > 0 {
+		return h.ModelStates
+	}
+	limit := 0
+	for fp, states := range c.models {
+		if (h.ModelFP == "" || fp == h.ModelFP) && states > limit {
+			limit = states
+		}
+	}
+	return limit
+}
+
 // collectFrames reads result-frame messages for one assignment until
 // the worker marks the stream Last, reassembling chunked vectors. It
 // returns the completed point results and the assigned indices that
-// never completed (to requeue), plus any transport error.
-func (f *Fleet) collectFrames(c *fleetConn, kod *fleetCodec, runID int64, indices []int) (results []pointResultVec, missing []int, phaseNS map[string]int64, depth, warm, saved int64, err error) {
+// never completed (to requeue). A frame that breaks the protocol — an
+// index outside the assignment, a Total beyond the model's state count,
+// a chunk that is not the contiguous continuation of its vector — is an
+// error like a transport failure: the stream cannot be trusted, so the
+// caller drops the connection.
+func (f *Fleet) collectFrames(c *fleetConn, kod *fleetCodec, run *fleetRun, indices []int) (out fleetResult, missing []int, err error) {
 	type assembly struct {
 		vec      []complex128
 		received int
-		total    int
 	}
+	out.worker = c.name
+	limit := c.vectorLimit(&run.header)
 	assemblies := make(map[int]*assembly, len(indices))
-	expected := make(map[int]bool, len(indices))
-	for _, idx := range indices {
-		expected[idx] = true
-	}
 	done := make(map[int]bool, len(indices))
+	for _, idx := range indices {
+		done[idx] = false
+	}
+	// finish reports whatever the batch left unanswered as missing.
+	finish := func(err error) (fleetResult, []int, error) {
+		for _, idx := range indices {
+			if !done[idx] {
+				missing = append(missing, idx)
+			}
+		}
+		return out, missing, err
+	}
 	for {
-		var res resultFrameV3Msg
 		c.conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
-		if err := kod.recvResult(&res); err != nil || res.RunID != runID {
-			if err == nil {
-				err = fmt.Errorf("pipeline: worker %q answered run %d with frames for run %d", c.name, runID, res.RunID)
-			}
-			for _, idx := range indices {
-				if !done[idx] {
-					missing = append(missing, idx)
-				}
-			}
-			return results, missing, phaseNS, depth, warm, saved, err
+		msg, err := kod.recv()
+		if err != nil {
+			return finish(err)
 		}
-		if len(res.PhaseNS) > 0 {
-			if phaseNS == nil {
-				phaseNS = make(map[string]int64, len(res.PhaseNS))
-			}
-			for name, ns := range res.PhaseNS {
-				phaseNS[name] += ns
-			}
+		res, ok := msg.(resultFrameMsg)
+		if !ok {
+			return finish(fmt.Errorf("pipeline: worker %q sent %T where result frames were expected", c.name, msg))
 		}
-		depth += res.TotalDepth
-		warm += res.WarmStarts
-		saved += res.SweepsSaved
+		if res.RunID != run.id {
+			return finish(fmt.Errorf("pipeline: worker %q answered run %d with frames for run %d", c.name, run.id, res.RunID))
+		}
+		for name, ns := range res.PhaseNS {
+			if out.phaseNS == nil {
+				out.phaseNS = make(map[string]int64, len(res.PhaseNS))
+			}
+			out.phaseNS[name] += ns
+		}
+		out.depth += res.TotalDepth
+		out.warm += res.WarmStarts
+		out.saved += res.SweepsSaved
 		for _, fr := range res.Frames {
-			if !expected[fr.Index] || done[fr.Index] {
-				continue // unsolicited or duplicate; ignore
+			if answered, assigned := done[fr.Index]; !assigned || answered {
+				return finish(fmt.Errorf("pipeline: worker %q sent a frame for point %d, which this batch is not waiting for", c.name, fr.Index))
 			}
 			if fr.Err != "" {
-				results = append(results, pointResultVec{Index: fr.Index, Err: fr.Err})
+				out.points = append(out.points, pointResultVec{Index: fr.Index, Err: fr.Err})
 				done[fr.Index] = true
 				continue
 			}
 			a := assemblies[fr.Index]
 			if a == nil {
-				if fr.Total < 0 {
-					continue
+				if fr.Total < 0 || fr.Total > limit {
+					return finish(fmt.Errorf("pipeline: worker %q announced a %d-value vector for point %d of a %d-state model", c.name, fr.Total, fr.Index, limit))
 				}
-				a = &assembly{vec: make([]complex128, fr.Total), total: fr.Total}
+				a = &assembly{vec: make([]complex128, fr.Total)}
 				assemblies[fr.Index] = a
 			}
 			// Chunks must arrive as a contiguous ascending stream: each
 			// frame's Offset is exactly the prefix received so far. A
 			// duplicate, overlapping or gapped chunk would otherwise let
-			// the byte count reach Total with holes still zero-filled —
-			// reject it and leave the point to requeue instead.
-			if fr.Offset != a.received || fr.Offset+len(fr.Data) > a.total || fr.Total != a.total {
-				continue
+			// the value count reach Total with holes still zero-filled.
+			if fr.Total != len(a.vec) || fr.Offset != a.received || len(fr.Data) > len(a.vec)-a.received {
+				return finish(fmt.Errorf("pipeline: worker %q sent chunk [%d,%d) of %d for point %d after %d of %d values",
+					c.name, fr.Offset, fr.Offset+len(fr.Data), fr.Total, fr.Index, a.received, len(a.vec)))
 			}
 			copy(a.vec[fr.Offset:], fr.Data)
 			a.received += len(fr.Data)
-			if a.received >= a.total {
-				results = append(results, pointResultVec{Index: fr.Index, Vec: a.vec})
+			if a.received == len(a.vec) {
+				out.points = append(out.points, pointResultVec{Index: fr.Index, Vec: a.vec})
 				done[fr.Index] = true
 				delete(assemblies, fr.Index)
 			}
 		}
 		if res.Last {
-			break
+			return finish(nil)
 		}
 	}
-	for _, idx := range indices {
-		if !done[idx] {
-			missing = append(missing, idx)
-		}
-	}
-	return results, missing, phaseNS, depth, warm, saved, nil
 }
 
 // serveConn drives one worker connection: versioned handshake, then a
@@ -810,25 +774,30 @@ func (f *Fleet) serveConn(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 
-	var hello helloV2Msg
-	conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
-	if err := dec.Decode(&hello); err != nil {
-		return
-	}
-	reject := func(reason string) {
+	countReject := func() {
 		f.mu.Lock()
 		f.rejected++
 		f.mu.Unlock()
 		fleetRejected.Inc()
+	}
+	var hello helloMsg
+	conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
+	if err := dec.Decode(&hello); err != nil {
+		// Not a hydra worker (a port scanner, a truncated stream): there
+		// is nobody to answer, but the operator should see it happened.
+		countReject()
+		f.logf("pipeline: dropping connection from %s: undecodable hello: %v", conn.RemoteAddr(), err)
+		return
+	}
+	reject := func(reason string) {
+		countReject()
 		f.logf("pipeline: rejecting worker %q from %s: %s", hello.WorkerName, conn.RemoteAddr(), reason)
 		conn.SetWriteDeadline(time.Now().Add(f.opts.IdleTimeout))
-		enc.Encode(welcomeMsg{Version: ProtocolVersion, ModelStates: -1, Reject: reason})
+		enc.Encode(welcomeMsg{Version: ProtocolVersion, Reject: reason})
 	}
-	if hello.Version != ProtocolVersion && hello.Version != oldestServedVersion {
-		// A v1 worker's hello has no Version field, so it decodes as 0;
-		// a v2 worker announces 2. Both reject readably.
-		reject(fmt.Sprintf("master speaks wire protocol v%d (still serving v%d batch workers) but worker %q announced v%d; deploy matching hydra binaries",
-			ProtocolVersion, oldestServedVersion, hello.WorkerName, hello.Version))
+	if hello.Version != ProtocolVersion {
+		reject(fmt.Sprintf("master speaks wire protocol v%d but worker %q announced v%d; deploy matching hydra binaries",
+			ProtocolVersion, hello.WorkerName, hello.Version))
 		return
 	}
 	if len(hello.Models) == 0 {
@@ -850,26 +819,19 @@ func (f *Fleet) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	// The welcome echoes the worker's own generation, which is the
-	// framing both sides use from here on: a v3 worker's strict
-	// Version == 3 check still passes against this master.
 	conn.SetWriteDeadline(time.Now().Add(f.opts.IdleTimeout))
-	if err := enc.Encode(welcomeMsg{Version: hello.Version}); err != nil {
+	if err := enc.Encode(welcomeMsg{Version: ProtocolVersion}); err != nil {
 		return
 	}
 
 	c := &fleetConn{
 		name:    hello.WorkerName,
 		conn:    conn,
-		version: hello.Version,
-		shardOK: hello.Version >= 4 && !hello.NoShard,
+		shardOK: hello.Shard,
 		models:  make(map[string]int, len(hello.Models)),
 		started: make(map[int64]bool),
 	}
-	if c.shardOK {
-		c.shardRev = hello.ShardRev
-	}
-	kod := &fleetCodec{version: hello.Version, enc: enc, dec: dec}
+	kod := &fleetCodec{enc: enc, dec: dec}
 	for _, ad := range hello.Models {
 		c.models[ad.Fingerprint] = ad.States
 	}
@@ -880,7 +842,7 @@ func (f *Fleet) serveConn(conn net.Conn) {
 		// reach it: bound the farewell by the grace period, not the
 		// residual IdleTimeout deadline.
 		conn.SetWriteDeadline(time.Now().Add(closeGrace))
-		kod.send(assignBatchV3Msg{Done: true})
+		kod.send(assignBatchMsg{Done: true})
 		return
 	}
 	f.conns[c] = struct{}{}
@@ -910,10 +872,10 @@ func (f *Fleet) serveConn(conn net.Conn) {
 		}
 		if run == nil {
 			conn.SetWriteDeadline(time.Now().Add(f.opts.IdleTimeout))
-			kod.send(assignBatchV3Msg{Done: true})
+			kod.send(assignBatchMsg{Done: true})
 			return
 		}
-		msg := assignBatchV3Msg{
+		msg := assignBatchMsg{
 			RunID:   run.id,
 			Forget:  forget,
 			Indices: indices,
@@ -937,10 +899,10 @@ func (f *Fleet) serveConn(conn net.Conn) {
 			delete(c.started, id)
 		}
 		batchStart := time.Now()
-		results, missing, phaseNS, depth, warm, saved, err := f.collectFrames(c, kod, run.id, indices)
+		res, missing, err := f.collectFrames(c, kod, run, indices)
 		batchTime := time.Since(batchStart)
 		fleetBatchDuration.With(c.name).Observe(batchTime.Seconds())
-		fleetCompletedPoints.With(c.name).Add(float64(len(results)))
+		fleetCompletedPoints.With(c.name).Add(float64(len(res.points)))
 		obs.DefaultTracer.Record(obs.Span{
 			TraceID: run.header.TraceID, Name: "fleet.batch", Worker: c.name,
 			Start: batchStart, Duration: batchTime,
@@ -948,17 +910,18 @@ func (f *Fleet) serveConn(conn net.Conn) {
 		})
 		f.requeue(run, missing, c.name)
 		f.mu.Lock()
-		c.completed += len(results)
+		c.completed += len(res.points)
 		f.mu.Unlock()
-		if len(results) > 0 || len(phaseNS) > 0 {
+		if len(res.points) > 0 || len(res.phaseNS) > 0 {
 			select {
-			case run.results <- fleetResult{worker: c.name, points: results, phaseNS: phaseNS, depth: depth, warm: warm, saved: saved}:
+			case run.results <- res:
 			case <-run.done:
 				// The run ended (completed elsewhere, aborted, or the caller
 				// gave up); drop the late batch — results are idempotent.
 			}
 		}
 		if err != nil {
+			f.logf("pipeline: dropping worker %q: %v", c.name, err)
 			return
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // row blocks is non-degenerate: a 12-state ring (irreducible) with
 // extra cross edges and mixed firing-time distributions, the same shape
 // the passage package's differential harness randomises over.
-func shardTestModel(t *testing.T) *smp.Model {
+func shardTestModel(t testing.TB) *smp.Model {
 	t.Helper()
 	const n = 12
 	b := smp.NewBuilder(n)
@@ -50,19 +49,22 @@ func shardContour(k int) []complex128 {
 // the same options as the fleet's conductor.
 func shardWorkerModel(m *smp.Model, fp string, opts passage.Options) WorkerModel {
 	return WorkerModel{
-		Fingerprint: fp,
-		States:      m.N(),
-		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShard: func(spec *SolveSpec, lo, hi int) (passage.ShardMember, error) {
-			return passage.NewShardSolver(m, opts, lo, hi, spec.Targets)
-		},
-		NewShardPlanned: func(spec *SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error) {
-			sv, pl, err := passage.NewPlannedShardSolver(m, opts, parts, part, spec.Targets)
-			if sv == nil || err != nil {
-				return nil, pl, err
-			}
-			return sv, pl, err
-		},
+		Fingerprint:     fp,
+		States:          m.N(),
+		Evaluator:       NewSolverEvaluator(m, opts),
+		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember { return sv }),
+	}
+}
+
+// plannedShard is the production shard constructor (what RunWorkerWith
+// wires) with a hook to wrap the block-local solver in a fault injector.
+func plannedShard(m *smp.Model, opts passage.Options, wrap func(*passage.ShardSolver) passage.ShardMember) func(*SolveSpec, int, int) (passage.ShardMember, passage.ShardPlacement, error) {
+	return func(spec *SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error) {
+		sv, pl, err := passage.NewPlannedShardSolver(m, opts, parts, part, spec.Targets)
+		if sv == nil || err != nil {
+			return nil, pl, err // keep the interface nil for surplus parts
+		}
+		return wrap(sv), pl, nil
 	}
 }
 
@@ -157,12 +159,12 @@ type killingShard struct {
 	sweeps int
 }
 
-func (k *killingShard) Sweep(halo []complex128) ([]complex128, float64, error) {
+func (k *killingShard) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
 	k.sweeps++
 	if k.sweeps == k.after {
 		k.conn.Close()
 	}
-	return k.ShardMember.Sweep(halo)
+	return k.ShardMember.SweepN(halo, inner, early)
 }
 
 // TestFleetShardFaultReshard kills a shard-holding worker between
@@ -203,13 +205,9 @@ func TestFleetShardFaultReshard(t *testing.T) {
 		Fingerprint: fp,
 		States:      m.N(),
 		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShard: func(spec *SolveSpec, lo, hi int) (passage.ShardMember, error) {
-			sv, err := passage.NewShardSolver(m, opts, lo, hi, spec.Targets)
-			if err != nil {
-				return nil, err
-			}
-			return &killingShard{ShardMember: sv, conn: conn, after: 3}, nil
-		},
+		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember {
+			return &killingShard{ShardMember: sv, conn: conn, after: 3}
+		}),
 	}
 	go FleetWorkConn(conn, []WorkerModel{doomed}, WorkerOptions{Name: "doomed"})
 	waitForWorkers(t, fleet, 3)
@@ -317,13 +315,9 @@ func TestFleetShardEvalErrorStructured(t *testing.T) {
 		Fingerprint: fp,
 		States:      m.N(),
 		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShard: func(spec *SolveSpec, lo, hi int) (passage.ShardMember, error) {
-			sv, err := passage.NewShardSolver(m, opts, lo, hi, spec.Targets)
-			if err != nil {
-				return nil, err
-			}
-			return &failingShard{ShardMember: sv}, nil
-		},
+		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember {
+			return &failingShard{ShardMember: sv}
+		}),
 	}
 	for _, name := range []string{"b1", "b2"} {
 		go FleetWork(addr, []WorkerModel{broken}, WorkerOptions{Name: name})
@@ -352,44 +346,37 @@ func TestFleetShardEvalErrorStructured(t *testing.T) {
 	}
 }
 
-// TestFleetShardNoCapableWorker covers mixed-generation fleets: a v3
-// worker serves unsharded batch jobs exactly as before, but a sharded
-// spec fails readably — naming the wire generation it needs — instead
-// of hanging or silently degrading.
+// TestFleetShardNoCapableWorker covers fleets whose workers cannot
+// shard (their models carry no shard constructor): such a worker serves
+// unsharded batch jobs, but a sharded spec fails readably — naming what
+// it needs — instead of hanging or silently degrading.
 func TestFleetShardNoCapableWorker(t *testing.T) {
 	m := shardTestModel(t)
-	const fp = "fp-shard-v3only"
+	const fp = "fp-shard-batchonly"
 	fleet := testFleet(t, FleetOptions{WaitTimeout: 300 * time.Millisecond, Logf: t.Logf})
-	addr := fleet.Addr().String()
-	ads := []modelAd{{Fingerprint: fp, States: m.N()}}
-
-	v3w := dialV3(t, addr, "legacy", ads, NewSolverEvaluator(m, passage.Options{}))
-	var served atomic.Int64
-	go func() {
-		served.Store(int64(v3w.serveBatches(1<<20, func() {})))
-	}()
+	go FleetWork(fleet.Addr().String(), []WorkerModel{healthyWorkerModel(m, fp)}, WorkerOptions{Name: "batch-only"})
 	waitForWorkers(t, fleet, 1)
 
-	// Sharded spec: no v4 worker exists, so recruiting must time out
-	// with a message naming the protocol requirement.
+	// Sharded spec: no shard-capable worker exists, so recruiting must
+	// time out with a message naming the requirement.
 	_, _, err := fleet.Execute(shardSpec(m, fp, shardContour(2), 2), nil)
 	if err == nil {
-		t.Fatal("sharded solve succeeded with only a v3 worker connected")
+		t.Fatal("sharded solve succeeded with only a batch-only worker connected")
 	}
-	for _, wantSub := range []string{"v4", "shard", fp} {
+	for _, wantSub := range []string{"shard-capable", fp} {
 		if !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("no-capable-worker error %q missing %q", err, wantSub)
 		}
 	}
 
-	// The same fleet still routes unsharded work to the v3 worker.
+	// The same fleet still routes unsharded work to that worker.
 	job := fleetJob(m, fp, []float64{0.4, 1.1})
 	vecs, stats, err := fleet.Execute(job.Spec(), nil)
 	if err != nil {
-		t.Fatalf("unsharded solve through the v3 worker: %v", err)
+		t.Fatalf("unsharded solve through the batch-only worker: %v", err)
 	}
 	if stats.Evaluated != len(job.Points) {
-		t.Errorf("v3 worker evaluated %d points, want %d", stats.Evaluated, len(job.Points))
+		t.Errorf("batch-only worker evaluated %d points, want %d", stats.Evaluated, len(job.Points))
 	}
 	mono := passage.NewSolver(m, passage.Options{})
 	for i, s := range job.Points {
@@ -399,14 +386,14 @@ func TestFleetShardNoCapableWorker(t *testing.T) {
 		}
 		for j := range want {
 			if d := cmplx.Abs(vecs[i][j] - want[j]); d > 1e-12 {
-				t.Errorf("point %d state %d: v3 batch %v vs mono %v", i, j, vecs[i][j], want[j])
+				t.Errorf("point %d state %d: batch %v vs mono %v", i, j, vecs[i][j], want[j])
 			}
 		}
 	}
 }
 
-// TestFleetShardBatchedEquivalence is the v4.1 end-to-end differential
-// property: three rev-1 workers under multi-sweep batching (each halo
+// TestFleetShardBatchedEquivalence is the batched end-to-end differential
+// property: three workers under multi-sweep batching (each halo
 // exchange authorizes up to 8 local sweeps) plus overlapped exchange
 // must still reproduce the monolithic solver within 1e-12. The
 // convergence gate only accepts lock-step exchanges, so stale-halo
@@ -464,27 +451,7 @@ func TestFleetShardBatchedEquivalence(t *testing.T) {
 	}
 }
 
-// killingShardExt is killingShard for the v4.1 conduct: it embeds the
-// concrete solver (so the worker still satisfies ShardMemberExt and the
-// session runs batched, overlapped sweeps) and kills the worker's
-// connection during the Nth SweepN — mid-batch, with an early boundary
-// frame possibly already on the wire.
-type killingShardExt struct {
-	*passage.ShardSolver
-	conn   net.Conn
-	after  int
-	sweeps int
-}
-
-func (k *killingShardExt) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
-	k.sweeps++
-	if k.sweeps == k.after {
-		k.conn.Close()
-	}
-	return k.ShardSolver.SweepN(halo, inner, early)
-}
-
-// TestFleetShardBatchedFaultReshard kills a rev-1 worker in the middle
+// TestFleetShardBatchedFaultReshard kills a worker in the middle
 // of a multi-sweep batch with overlapped exchange active. The conductor
 // must detect the loss (a torn early frame or a dead closing frame),
 // re-shard over the survivors, restart the in-flight point cold, and
@@ -519,16 +486,9 @@ func TestFleetShardBatchedFaultReshard(t *testing.T) {
 		Fingerprint: fp,
 		States:      m.N(),
 		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShard: func(spec *SolveSpec, lo, hi int) (passage.ShardMember, error) {
-			return passage.NewShardSolver(m, opts, lo, hi, spec.Targets)
-		},
-		NewShardPlanned: func(spec *SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error) {
-			sv, pl, err := passage.NewPlannedShardSolver(m, opts, parts, part, spec.Targets)
-			if sv == nil || err != nil {
-				return nil, pl, err
-			}
-			return &killingShardExt{ShardSolver: sv, conn: conn, after: 2}, pl, nil
-		},
+		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember {
+			return &killingShard{ShardMember: sv, conn: conn, after: 2}
+		}),
 	}
 	go FleetWorkConn(conn, []WorkerModel{doomed}, WorkerOptions{Name: "doomed-batch"})
 	waitForWorkers(t, fleet, 3)
@@ -549,55 +509,6 @@ func TestFleetShardBatchedFaultReshard(t *testing.T) {
 	}
 	if stats.Evaluated != len(points) {
 		t.Errorf("stats.Evaluated = %d, want %d", stats.Evaluated, len(points))
-	}
-}
-
-// TestFleetShardMixedRevDowngrade pins the all-or-nothing capability
-// rule: one worker held at shard revision 0 (NoShardExt — the rollback
-// switch, indistinguishable on the wire from an old binary) drops the
-// whole session to plain v4 lock-step conduct, which must still solve
-// and match the monolithic reference. No extended frames may reach the
-// rev-0 worker — it would answer them with protocol errors.
-func TestFleetShardMixedRevDowngrade(t *testing.T) {
-	m := shardTestModel(t)
-	const fp = "fp-shard-mixedrev"
-	opts := passage.Options{ShardInnerSweeps: 8, ShardOverlapRows: 1}
-	points := shardContour(3)
-	spec := shardSpec(m, fp, points, 3)
-
-	mono := passage.NewSolver(m, passage.Options{})
-	want := make([][]complex128, len(points))
-	for i, s := range points {
-		v, _, err := mono.IterativeVectorLST(s, spec.Targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = v
-	}
-
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
-	addr := fleet.Addr().String()
-	go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: "rev1a"})
-	go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: "rev1b"})
-	go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: "rev0", NoShardExt: true})
-	waitForWorkers(t, fleet, 3)
-
-	values, stats, err := fleet.Execute(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		for j := 0; j < m.N(); j++ {
-			if d := cmplx.Abs(values[i][j] - want[i][j]); d > 1e-12 {
-				t.Errorf("point %d state %d: mixed-rev %v vs mono %v (diff %g)", i, j, values[i][j], want[i][j], d)
-			}
-		}
-	}
-	if stats.Shards != 3 {
-		t.Errorf("stats.Shards = %d, want 3", stats.Shards)
-	}
-	if stats.Resharded != 0 {
-		t.Errorf("mixed-rev run resharded %d times — an extended frame likely reached the rev-0 worker", stats.Resharded)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"math/cmplx"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hydra/internal/leaktest"
 	"hydra/internal/passage"
 	"hydra/internal/smp"
 )
@@ -58,30 +60,27 @@ func waitForWorkers(t *testing.T, f *Fleet, n int) {
 	}
 }
 
-// rawV3Worker is a hand-driven protocol-v3 client for fault injection:
-// the test controls exactly when it answers and when it drops dead.
-type rawV3Worker struct {
+// rawWorker is a hand-driven fleet client for fault injection: the test
+// controls exactly when it answers and when it drops dead.
+type rawWorker struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	kod  fleetCodec
 	eval Evaluator
 	spec *SolveSpec
 }
 
-func dialV3(t *testing.T, addr, name string, ads []modelAd, eval Evaluator) *rawV3Worker {
+func dialRaw(t *testing.T, addr, name string, ads []modelAd, eval Evaluator) *rawWorker {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &rawV3Worker{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), eval: eval}
-	// Announces the literal previous generation: a rawV3Worker speaks
-	// bare-framed v3, which the v4 master still serves for batch work.
-	if err := w.enc.Encode(helloV2Msg{Version: 3, WorkerName: name, Models: ads}); err != nil {
+	w := &rawWorker{conn: conn, kod: fleetCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, eval: eval}
+	if err := w.kod.enc.Encode(helloMsg{Version: ProtocolVersion, WorkerName: name, Models: ads}); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	var welcome welcomeMsg
-	if err := w.dec.Decode(&welcome); err != nil {
+	if err := w.kod.dec.Decode(&welcome); err != nil {
 		t.Fatalf("welcome: %v", err)
 	}
 	if welcome.Reject != "" {
@@ -92,14 +91,15 @@ func dialV3(t *testing.T, addr, name string, ads []modelAd, eval Evaluator) *raw
 
 // serveBatches answers up to maxPoints evaluated points, then invokes
 // die. Returns how many points it answered.
-func (w *rawV3Worker) serveBatches(maxPoints int, die func()) int {
+func (w *rawWorker) serveBatches(maxPoints int, die func()) int {
 	answered := 0
 	for {
-		var a assignBatchV3Msg
-		if err := w.dec.Decode(&a); err != nil {
+		msg, err := w.kod.recv()
+		if err != nil {
 			return answered
 		}
-		if a.Done {
+		a, ok := msg.(assignBatchMsg)
+		if !ok || a.Done {
 			return answered
 		}
 		if a.Header != nil {
@@ -113,16 +113,16 @@ func (w *rawV3Worker) serveBatches(maxPoints int, die func()) int {
 			die() // batch received, never answered: in flight when we die
 			return answered
 		}
-		res := resultFrameV3Msg{RunID: a.RunID, Last: true, Frames: make([]pointFrameV3, len(a.Indices))}
+		res := resultFrameMsg{RunID: a.RunID, Last: true, Frames: make([]pointFrame, len(a.Indices))}
 		for i, idx := range a.Indices {
 			vec, err := w.eval.EvaluateVector(a.Points[i], w.spec)
-			fr := pointFrameV3{Index: idx, Total: len(vec), Data: vec}
+			fr := pointFrame{Index: idx, Total: len(vec), Data: vec}
 			if err != nil {
-				fr = pointFrameV3{Index: idx, Err: err.Error()}
+				fr = pointFrame{Index: idx, Err: err.Error()}
 			}
 			res.Frames[i] = fr
 		}
-		if err := w.enc.Encode(res); err != nil {
+		if err := w.kod.send(res); err != nil {
 			return answered
 		}
 		answered += len(a.Indices)
@@ -139,6 +139,7 @@ func TestFleetFaultInjection(t *testing.T) {
 	ts := []float64{0.3, 0.8, 1.6}
 	const fp = "fp-fault"
 	job := fleetJob(m, fp, ts)
+	noLeak := leaktest.Check(t)
 
 	refVecs, _, err := Run(job.Spec(), func() Evaluator {
 		return NewSolverEvaluator(m, passage.Options{})
@@ -157,8 +158,8 @@ func TestFleetFaultInjection(t *testing.T) {
 	// closes cleanly from its side mid-run. Both handshakes run on the
 	// test goroutine (t.Fatal is only legal there); the spawned
 	// goroutines just serve batches.
-	killedWorker := dialV3(t, addr, "killed", ads, NewSolverEvaluator(m, passage.Options{}))
-	disconnectedWorker := dialV3(t, addr, "disconnected", ads, NewSolverEvaluator(m, passage.Options{}))
+	killedWorker := dialRaw(t, addr, "killed", ads, NewSolverEvaluator(m, passage.Options{}))
+	disconnectedWorker := dialRaw(t, addr, "disconnected", ads, NewSolverEvaluator(m, passage.Options{}))
 	killed := make(chan int, 1)
 	go func() {
 		killed <- killedWorker.serveBatches(4, func() { killedWorker.conn.Close() })
@@ -222,6 +223,7 @@ func TestFleetFaultInjection(t *testing.T) {
 	if err := <-healthyDone; err != nil {
 		t.Errorf("healthy worker: %v", err)
 	}
+	noLeak()
 }
 
 // TestFleetServesManyModelsByFingerprint checks the registry scenario:
@@ -279,90 +281,124 @@ func TestFleetServesManyModelsByFingerprint(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsV1Worker proves version negotiation end to end: a v3
-// master refuses a legacy v1 worker, and because the welcome message
-// carries the v1 ModelStates == -1 sentinel, the old binary fails its
-// own readable "master rejected handshake" path instead of hanging or
-// computing garbage.
-func TestFleetRejectsV1Worker(t *testing.T) {
-	m := testModel(t)
+// TestFleetRejectsOtherVersions pins the master's half of the version
+// contract: a hello announcing anything but ProtocolVersion — an absent
+// field (0), the previous generation, a future one — is answered with a
+// welcome whose Reject names both versions, and a worker reading that
+// welcome fails with ErrHandshakeRejected.
+func TestFleetRejectsOtherVersions(t *testing.T) {
 	fleet := testFleet(t, FleetOptions{})
-
-	err := Work(fleet.Addr().String(), NewSolverEvaluator(m, passage.Options{}), m.N(), WorkerOptions{Name: "legacy"})
-	if err == nil {
-		t.Fatal("v1 worker was accepted by a v3 master")
-	}
-	if !strings.Contains(err.Error(), "rejected handshake") {
-		t.Errorf("v1 worker error %q does not mention the rejected handshake", err)
-	}
-	if got := fleet.Snapshot().Rejected; got != 1 {
-		t.Errorf("fleet counted %d rejections, want 1", got)
-	}
-}
-
-// TestFleetRejectsFutureVersion pins the readable reject for a version
-// the master does not speak.
-func TestFleetRejectsFutureVersion(t *testing.T) {
-	fleet := testFleet(t, FleetOptions{})
-	conn, err := net.Dial("tcp", fleet.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(helloV2Msg{Version: 99, WorkerName: "tomorrow", Models: []modelAd{{Fingerprint: "x", States: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	var welcome welcomeMsg
-	if err := dec.Decode(&welcome); err != nil {
-		t.Fatal(err)
-	}
-	if welcome.ModelStates != -1 {
-		t.Errorf("reject welcome carries ModelStates %d, want the -1 sentinel", welcome.ModelStates)
-	}
-	for _, want := range []string{"v4", "v3", "v99", "tomorrow"} {
-		if !strings.Contains(welcome.Reject, want) {
-			t.Errorf("reject reason %q missing %q", welcome.Reject, want)
+	for i, v := range []int{0, ProtocolVersion - 1, ProtocolVersion + 1} {
+		conn, err := net.Dial("tcp", fleet.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := helloMsg{Version: v, WorkerName: "stranger", Models: []modelAd{{Fingerprint: "x", States: 1}}}
+		if err := gob.NewEncoder(conn).Encode(hello); err != nil {
+			t.Fatal(err)
+		}
+		var welcome welcomeMsg
+		if err := gob.NewDecoder(conn).Decode(&welcome); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{fmt.Sprintf("v%d", ProtocolVersion), fmt.Sprintf("v%d", v), "stranger"} {
+			if !strings.Contains(welcome.Reject, want) {
+				t.Errorf("v%d hello: reject reason %q missing %q", v, welcome.Reject, want)
+			}
+		}
+		if got := fleet.Snapshot().Rejected; got != int64(i+1) {
+			t.Errorf("fleet counted %d rejections after %d mismatched hellos", got, i+1)
 		}
 	}
 }
 
-// TestFleetWorkerDetectsV1Master covers the opposite mismatch: a v2
-// worker dialing a v1 master fails with a protocol-version error
-// instead of waiting for assignments that never come.
-func TestFleetWorkerDetectsV1Master(t *testing.T) {
+// TestFleetWorkerRejectsOtherMasterVersion pins the worker's half: a
+// master answering with a reject — or accepting under a different
+// version — makes FleetWork fail with ErrHandshakeRejected, which
+// reconnect loops treat as permanent.
+func TestFleetWorkerRejectsOtherMasterVersion(t *testing.T) {
 	m := testModel(t)
-	job := densityJob(m, []float64{0.5})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for _, welcome := range []welcomeMsg{
+		{Version: ProtocolVersion - 1},
+		{Version: ProtocolVersion + 1, Reject: "master speaks wire protocol v6 but worker \"w\" announced v5"},
+	} {
+		master, worker := net.Pipe()
+		go func() {
+			defer master.Close()
+			var hello helloMsg
+			if err := gob.NewDecoder(master).Decode(&hello); err != nil {
+				t.Errorf("fake master: hello: %v", err)
+				return
+			}
+			if err := gob.NewEncoder(master).Encode(welcome); err != nil {
+				t.Errorf("fake master: welcome: %v", err)
+			}
+		}()
+		err := FleetWorkConn(worker, []WorkerModel{healthyWorkerModel(m, "fp")}, WorkerOptions{Name: "w"})
+		if !errors.Is(err, ErrHandshakeRejected) {
+			t.Fatalf("welcome %+v: worker returned %v, want ErrHandshakeRejected", welcome, err)
+		}
+		for _, want := range []string{fmt.Sprintf("v%d", welcome.Version), fmt.Sprintf("v%d", ProtocolVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("welcome %+v: worker error %q does not name %s", welcome, err, want)
+			}
+		}
+	}
+}
+
+// TestFleetCountsUndecodableHello covers connections that are not hydra
+// workers at all (a port scanner, a truncated stream): the master counts
+// and logs the drop, and keeps serving real workers.
+func TestFleetCountsUndecodableHello(t *testing.T) {
+	m := testModel(t)
+	var logged atomic.Int64
+	fleet := testFleet(t, FleetOptions{Logf: func(format string, args ...any) {
+		if strings.Contains(format, "undecodable hello") {
+			logged.Add(1)
+		}
+		t.Logf(format, args...)
+	}})
+	before := fleetRejected.Value()
+
+	conn, err := net.Dial("tcp", fleet.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-
-	v2done := make(chan error, 1)
-	go func() {
-		v2done <- FleetWork(addr, []WorkerModel{healthyWorkerModel(m, "fp")}, WorkerOptions{Name: "modern"})
-	}()
-	// A v1 worker completes the job so Serve returns.
-	v1done := make(chan error, 1)
-	go func() {
-		v1done <- Work(addr, NewSolverEvaluator(m, passage.Options{}), m.N(), WorkerOptions{Name: "good"})
-	}()
-	if _, _, err := Serve(ln, job, nil, MasterOptions{ModelStates: m.N()}); err != nil {
+	if _, err := conn.Write([]byte(strings.Repeat("GET / HTTP/1.1\r\nHost: scanner\r\n\r\n", 16))); err != nil {
 		t.Fatal(err)
 	}
-	err = <-v2done
-	if err == nil {
-		t.Fatal("v2 worker did not detect the v1 master")
+	// Half-close, so a decoder still waiting for the rest of a "message"
+	// whose length it read out of the garbage sees the stream end.
+	conn.(*net.TCPConn).CloseWrite()
+	// The master hangs up on garbage without answering.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("master answered a garbage hello with %d bytes", n)
 	}
-	if !strings.Contains(err.Error(), "rejected") && !strings.Contains(err.Error(), "wire protocol") {
-		t.Errorf("v2-worker error %q names neither a rejection nor a protocol mismatch", err)
+	conn.Close()
+	if got := fleet.Snapshot().Rejected; got != 1 {
+		t.Errorf("fleet counted %d rejections after a garbage hello, want 1", got)
 	}
-	if !errors.Is(err, ErrHandshakeRejected) {
-		t.Errorf("v2-worker error %v is not ErrHandshakeRejected; reconnect loops could not tell it is permanent", err)
+	if got := fleetRejected.Value() - before; got != 1 {
+		t.Errorf("hydra_fleet_handshakes_rejected_total moved by %v, want 1", got)
 	}
-	if err := <-v1done; err != nil {
-		t.Errorf("v1 worker: %v", err)
+	if logged.Load() != 1 {
+		t.Errorf("undecodable hello logged %d times, want 1", logged.Load())
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		done <- FleetWork(fleet.Addr().String(), []WorkerModel{healthyWorkerModel(m, "fp")}, WorkerOptions{Name: "real"})
+	}()
+	waitForWorkers(t, fleet, 1)
+	job := fleetJob(m, "fp", []float64{0.5})
+	if _, stats, err := fleet.Execute(job.Spec(), nil); err != nil || stats.Evaluated != len(job.Points) {
+		t.Errorf("fleet did not serve a real worker after the garbage hello: stats %+v, err %v", stats, err)
+	}
+	fleet.Close()
+	if err := <-done; err != nil {
+		t.Errorf("worker: %v", err)
 	}
 }
 
@@ -486,8 +522,7 @@ func BenchmarkFleetRoundTrip(b *testing.B) {
 }
 
 // TestFleetRequireModelRejectsMismatch pins the one-shot master
-// behaviour carried over from v1's handshake cross-check: a fleet
-// started for one specific model (Model.ServeMaster) rejects workers
+// behaviour: a fleet started for one specific model (Model.ServeMaster) rejects workers
 // that do not hold it — readably and permanently — instead of letting
 // them idle unrouted while the master waits forever.
 func TestFleetRequireModelRejectsMismatch(t *testing.T) {

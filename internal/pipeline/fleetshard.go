@@ -8,86 +8,75 @@ import (
 	"time"
 
 	"hydra/internal/obs"
-	"hydra/internal/partition"
 	"hydra/internal/passage"
 )
 
-// This file is the master side of wire v4's sharded solve: one
-// SolveSpec's kernel is split into contiguous row blocks, each hosted
-// by a different connected worker, and the master conducts the
-// lock-step distributed sweep of passage.ShardSession over the wire.
-// Every message below travels inside the v4 gob interface envelope
-// (see fleetCodec); the arithmetic itself lives in internal/passage —
-// the remote member proxy here only moves sub-vectors.
+// This file is the master side of a sharded solve: one SolveSpec's
+// kernel is split into contiguous row blocks of a boundary-minimizing
+// state ordering, each hosted by a different connected worker, and the
+// master conducts the distributed sweep of passage.ShardSession over
+// the wire. The arithmetic itself lives in internal/passage — the
+// remote member proxy here only moves sub-vectors.
 
-// shardStartV4Msg assigns one row block of a sharded run to a worker
-// (master → worker). Header is always set: shard membership is
-// independent of any batch assignments the worker served before. Plain
-// v4 masters assign the block directly as rows [Lo, Hi); a v4.1 master
-// recruiting rev-1 workers sets Plan instead, and the worker computes
-// the deterministic boundary-minimizing partition of (model, Parts,
-// targets) itself and answers with its placement — the master holds no
-// kernel, so the plan must be derivable worker-side. Absent v4.1 fields
-// decode as zero on old workers, which plain v4 conduct never reads.
-type shardStartV4Msg struct {
+// shardStartMsg assigns one block of a sharded run to a worker (master
+// → worker). Header is always set: shard membership is independent of
+// any batch assignments the worker served before. The master holds no
+// kernel, so it names only the block — Part of Parts — and the worker
+// computes the deterministic boundary-minimizing partition of (model,
+// Parts, targets) itself and answers with its placement.
+type shardStartMsg struct {
 	RunID  int64
-	Header *runHeaderV3Msg
-	Lo, Hi int
-	// Wire v4.1 (ShardRev >= 1): plan-based placement.
-	Parts int  // total block count of the planned partition
-	Part  int  // this worker's block index in [0, Parts)
-	Plan  bool // compute the boundary-minimizing plan; Lo/Hi are unused
+	Header *runHeaderMsg
+	Parts  int // total block count of the planned partition
+	Part   int // this worker's block index in [0, Parts)
 }
 
-// shardReadyV4Msg answers a shard start (worker → master): the block's
-// halo — the sorted out-of-block columns its rows read, which the
-// conductor must deliver before every sweep — or a readable refusal.
-// Under a planned start (v4.1) it also carries the worker's placement:
-// positions [Lo, Hi) of the planned ordering, with PermRows listing the
-// original state per position (nil for the identity ordering). Lo == Hi
-// reports a surplus part — the plan yielded fewer blocks than workers —
-// and the master releases the member.
-type shardReadyV4Msg struct {
+// shardReadyMsg answers a shard start (worker → master): a readable
+// refusal, or the block's placement — positions [Lo, Hi) of the planned
+// ordering, with PermRows listing the original state per position (nil
+// for the identity ordering) — and its halo, the sorted out-of-block
+// columns its rows read, which the conductor must deliver before every
+// sweep. Lo == Hi reports a surplus part — the plan yielded fewer
+// blocks than workers — and the master releases the member.
+type shardReadyMsg struct {
 	RunID    int64
 	HaloCols []int
 	Err      string
-	// Wire v4.1: placement of a planned block.
 	Lo, Hi   int
 	PermRows []int
 }
 
-// shardPlanV4Msg distributes the boundary ledger (master → worker):
+// shardPlanMsg distributes the boundary ledger (master → worker):
 // the sorted rows of this worker's block that other blocks read. Every
 // seed and sweep reply carries values for exactly these rows, in order.
-type shardPlanV4Msg struct {
+type shardPlanMsg struct {
 	RunID    int64
 	Boundary []int
 }
 
-// shardPointV4Msg opens one s-point of a sharded run (master →
+// shardPointMsg opens one s-point of a sharded run (master →
 // worker). Warm asks the member to seed from its block-local warm
-// history; Index correlates the eventual block result. The worker
-// answers with a Seq-0 delta carrying the seed's boundary values.
-type shardPointV4Msg struct {
+// history; Batch opens the point for the fixed-point iteration
+// (BeginPointFP), which multi-sweep batching requires; Index correlates
+// the eventual block result. The worker answers with a Seq-0 delta
+// carrying the seed's boundary values.
+type shardPointMsg struct {
 	RunID int64
 	Index int
 	S     complex128
 	Warm  bool
-	// Wire v4.1: open the point for the fixed-point iteration
-	// (BeginPointFP), which multi-sweep batching requires.
 	Batch bool
 }
 
-// shardSweepV4Msg drives one exchange (master → worker): the halo
+// shardSweepMsg drives one exchange (master → worker): the halo
 // values gathered from the other blocks, in the member's HaloCols
 // order. Finish closes the converged point instead — the worker
 // answers with its block of the result vector rather than a delta.
-// Wire v4.1 adds Inner (run that many local sweeps against this one
-// halo; 0 and 1 mean lock-step) and Early (ship the final sweep's
-// boundary rows before interior rows are computed: the worker answers
-// with exactly two deltas, the early boundary frame then the closing
-// norm frame).
-type shardSweepV4Msg struct {
+// Inner is how many local sweeps to run against this one halo (1 is
+// lock-step); Early ships the final sweep's boundary rows before
+// interior rows are computed: the worker answers with exactly two
+// deltas, the early boundary frame then the closing norm frame.
+type shardSweepMsg struct {
 	RunID  int64
 	Seq    int
 	Halo   []complex128
@@ -96,14 +85,14 @@ type shardSweepV4Msg struct {
 	Early  bool
 }
 
-// shardDeltaV4Msg answers a point open (Seq 0) or a sweep (worker →
+// shardDeltaMsg answers a point open (Seq 0) or a sweep (worker →
 // master): the block's new boundary values and its contribution to the
 // global increment max-norm — the per-sweep convergence reduction.
 // ComputeNS attributes the block's pure compute time so the master's
-// critical-path accounting excludes wire latency. An Early delta (wire
-// v4.1) carries only the boundary values of an overlapped sweep; its
-// closing companion carries the norm and compute time with no boundary.
-type shardDeltaV4Msg struct {
+// critical-path accounting excludes wire latency. An Early delta carries
+// only the boundary values of an overlapped sweep; its closing companion
+// carries the norm and compute time with no boundary.
+type shardDeltaMsg struct {
 	RunID     int64
 	Seq       int
 	Boundary  []complex128
@@ -113,11 +102,11 @@ type shardDeltaV4Msg struct {
 	Early     bool
 }
 
-// shardBlockV4Msg answers a finishing sweep (worker → master): the
+// shardBlockMsg answers a finishing sweep (worker → master): the
 // block's slice of the converged answer vector for point Index. Blocks
 // are 1/K of one vector and travel whole — chunking, if ever needed,
 // would be a protocol revision.
-type shardBlockV4Msg struct {
+type shardBlockMsg struct {
 	RunID     int64
 	Index     int
 	Data      []complex128
@@ -125,9 +114,9 @@ type shardBlockV4Msg struct {
 	Err       string
 }
 
-// shardEndV4Msg releases a worker from a sharded run (master →
+// shardEndMsg releases a worker from a sharded run (master →
 // worker): the worker drops the block state. No reply travels.
-type shardEndV4Msg struct {
+type shardEndMsg struct {
 	RunID int64
 }
 
@@ -166,7 +155,7 @@ type shardReply struct {
 // shardRecruit is an open call for shard members, matched by idle
 // shard-capable connections inside nextBatch.
 type shardRecruit struct {
-	header  *runHeaderV3Msg
+	header  *runHeaderMsg
 	need    int
 	taken   map[*fleetConn]bool
 	members chan *shardMemberConn
@@ -255,7 +244,7 @@ func (f *Fleet) serveMember(c *fleetConn, kod *fleetCodec, smc *shardMemberConn)
 		// that stopped reading after an error can never block the relay.
 		for i := 0; i < req.replies; i++ {
 			c.conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
-			msg, err := kod.recvAny()
+			msg, err := kod.recv()
 			if err != nil {
 				err = fmt.Errorf("%w: worker %q: %v", errShardMemberLost, c.name, err)
 				req.reply <- shardReply{err: err}
@@ -295,49 +284,88 @@ func (m *remoteShardMember) HaloColumns() []int   { return m.halo }
 func (m *remoteShardMember) LastComputeNS() int64 { return m.lastNS }
 
 func (m *remoteShardMember) SetBoundary(rows []int) error {
-	return m.smc.post(shardPlanV4Msg{RunID: m.runID, Boundary: rows})
+	return m.smc.post(shardPlanMsg{RunID: m.runID, Boundary: rows})
 }
 
 func (m *remoteShardMember) BeginPoint(s complex128, warm bool) ([]complex128, error) {
+	return m.beginPoint(s, warm, false)
+}
+
+func (m *remoteShardMember) BeginPointFP(s complex128, warm bool) ([]complex128, error) {
+	return m.beginPoint(s, warm, true)
+}
+
+func (m *remoteShardMember) beginPoint(s complex128, warm, batch bool) ([]complex128, error) {
 	m.seq = 0
-	rep, err := m.smc.roundTrip(shardPointV4Msg{RunID: m.runID, Index: m.curIdx, S: s, Warm: warm})
+	rep, err := m.smc.roundTrip(shardPointMsg{RunID: m.runID, Index: m.curIdx, S: s, Warm: warm, Batch: batch})
 	if err != nil {
 		return nil, err
 	}
-	d, ok := rep.(shardDeltaV4Msg)
-	if !ok || d.RunID != m.runID || d.Seq != 0 {
-		return nil, m.desync(fmt.Sprintf("%T answering point open", rep))
+	d, err := m.delta(rep, false, "point open")
+	if err != nil {
+		return nil, err
 	}
-	if d.Err != "" {
-		return nil, fmt.Errorf("worker %q: %s", m.name, d.Err)
-	}
-	m.lastNS = d.ComputeNS
 	return d.Boundary, nil
 }
 
-func (m *remoteShardMember) Sweep(halo []complex128) ([]complex128, float64, error) {
+// delta validates one sweep-protocol reply: a delta for this run at the
+// current sequence number, early or closing as expected. An Err field is
+// the worker's evaluation failure, not a lost member.
+func (m *remoteShardMember) delta(rep any, early bool, what string) (shardDeltaMsg, error) {
+	d, ok := rep.(shardDeltaMsg)
+	if !ok || d.RunID != m.runID || d.Seq != m.seq || d.Early != early {
+		return d, m.desync(fmt.Sprintf("%T answering %s %d", rep, what, m.seq))
+	}
+	if d.Err != "" {
+		return d, fmt.Errorf("worker %q: %s", m.name, d.Err)
+	}
+	if !early {
+		m.lastNS = d.ComputeNS
+	}
+	return d, nil
+}
+
+func (m *remoteShardMember) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
 	m.seq++
-	rep, err := m.smc.roundTrip(shardSweepV4Msg{RunID: m.runID, Seq: m.seq, Halo: halo})
+	msg := shardSweepMsg{RunID: m.runID, Seq: m.seq, Halo: halo, Inner: inner, Early: early != nil}
+	if early == nil {
+		rep, err := m.smc.roundTrip(msg)
+		if err != nil {
+			return nil, 0, err
+		}
+		d, err := m.delta(rep, false, "sweep")
+		return d.Boundary, d.Norm, err
+	}
+	// Overlapped: the worker answers with exactly two deltas — the early
+	// boundary frame, relayed into the session's ledger via the callback
+	// while other members still compute, then the closing norm frame.
+	req, err := m.smc.exchange(msg, 2)
 	if err != nil {
 		return nil, 0, err
 	}
-	d, ok := rep.(shardDeltaV4Msg)
-	if !ok || d.RunID != m.runID || d.Seq != m.seq {
-		return nil, 0, m.desync(fmt.Sprintf("%T answering sweep %d", rep, m.seq))
+	rep, err := m.smc.awaitReply(req)
+	if err != nil {
+		return nil, 0, err
 	}
-	if d.Err != "" {
-		return nil, 0, fmt.Errorf("worker %q: %s", m.name, d.Err)
+	d, err := m.delta(rep, true, "overlapped sweep")
+	if err != nil {
+		return nil, 0, err
 	}
-	m.lastNS = d.ComputeNS
-	return d.Boundary, d.Norm, nil
+	early(d.Boundary)
+	rep, err = m.smc.awaitReply(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	fin, err := m.delta(rep, false, "overlapped sweep close")
+	return nil, fin.Norm, err
 }
 
 func (m *remoteShardMember) Finish(halo []complex128) ([]complex128, error) {
-	rep, err := m.smc.roundTrip(shardSweepV4Msg{RunID: m.runID, Seq: m.seq + 1, Halo: halo, Finish: true})
+	rep, err := m.smc.roundTrip(shardSweepMsg{RunID: m.runID, Seq: m.seq + 1, Halo: halo, Finish: true})
 	if err != nil {
 		return nil, err
 	}
-	b, ok := rep.(shardBlockV4Msg)
+	b, ok := rep.(shardBlockMsg)
 	if !ok || b.RunID != m.runID {
 		return nil, m.desync(fmt.Sprintf("%T answering finish", rep))
 	}
@@ -351,102 +379,18 @@ func (m *remoteShardMember) Finish(halo []complex128) ([]complex128, error) {
 	return b.Data, nil
 }
 
-// remoteShardMemberV2 is the wire v4.1 remote member: the plain proxy
-// plus the ShardMemberExt methods the tuned session drives (fixed-point
-// begins for multi-sweep batching, and overlapped sweeps whose boundary
-// rows arrive as an early frame while the worker still computes
-// interior rows). Only rev-1 workers are wrapped in it — the session
-// detects the extension by type assertion, so rev-0 members downgrade
-// the whole session to lock-step automatically.
-type remoteShardMemberV2 struct {
-	remoteShardMember
-}
-
-func (m *remoteShardMemberV2) BeginPointFP(s complex128, warm bool) ([]complex128, error) {
-	m.seq = 0
-	rep, err := m.smc.roundTrip(shardPointV4Msg{RunID: m.runID, Index: m.curIdx, S: s, Warm: warm, Batch: true})
-	if err != nil {
-		return nil, err
-	}
-	d, ok := rep.(shardDeltaV4Msg)
-	if !ok || d.RunID != m.runID || d.Seq != 0 {
-		return nil, m.desync(fmt.Sprintf("%T answering point open", rep))
-	}
-	if d.Err != "" {
-		return nil, fmt.Errorf("worker %q: %s", m.name, d.Err)
-	}
-	m.lastNS = d.ComputeNS
-	return d.Boundary, nil
-}
-
-func (m *remoteShardMemberV2) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
-	if inner < 1 {
-		inner = 1
-	}
-	m.seq++
-	msg := shardSweepV4Msg{RunID: m.runID, Seq: m.seq, Halo: halo, Inner: inner, Early: early != nil}
-	if early == nil {
-		rep, err := m.smc.roundTrip(msg)
-		if err != nil {
-			return nil, 0, err
-		}
-		d, ok := rep.(shardDeltaV4Msg)
-		if !ok || d.RunID != m.runID || d.Seq != m.seq {
-			return nil, 0, m.desync(fmt.Sprintf("%T answering sweep %d", rep, m.seq))
-		}
-		if d.Err != "" {
-			return nil, 0, fmt.Errorf("worker %q: %s", m.name, d.Err)
-		}
-		m.lastNS = d.ComputeNS
-		return d.Boundary, d.Norm, nil
-	}
-	// Overlapped: the worker answers with exactly two deltas — the early
-	// boundary frame, relayed into the session's ledger via the callback
-	// while other members still compute, then the closing norm frame.
-	req, err := m.smc.exchange(msg, 2)
-	if err != nil {
-		return nil, 0, err
-	}
-	rep, err := m.smc.awaitReply(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, ok := rep.(shardDeltaV4Msg)
-	if !ok || d.RunID != m.runID || d.Seq != m.seq || !d.Early {
-		return nil, 0, m.desync(fmt.Sprintf("%T answering overlapped sweep %d", rep, m.seq))
-	}
-	if d.Err != "" {
-		return nil, 0, fmt.Errorf("worker %q: %s", m.name, d.Err)
-	}
-	early(d.Boundary)
-	rep, err = m.smc.awaitReply(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	fin, ok := rep.(shardDeltaV4Msg)
-	if !ok || fin.RunID != m.runID || fin.Seq != m.seq || fin.Early {
-		return nil, 0, m.desync(fmt.Sprintf("%T closing overlapped sweep %d", rep, m.seq))
-	}
-	if fin.Err != "" {
-		return nil, 0, fmt.Errorf("worker %q: %s", m.name, fin.Err)
-	}
-	m.lastNS = fin.ComputeNS
-	return nil, fin.Norm, nil
-}
-
 // fleetShardSession is one recruited set of workers conducting one
 // sharded run: the passage session plus the wire-side handles needed
-// to drive and release it. perm, set by planned (v4.1) recruiting with
-// a non-identity ordering, lists the original state per planned
-// position; the conductor iterates in planned space and maps each
-// converged vector back before anyone else sees it.
+// to drive and release it. perm, set when the plan chose a non-identity
+// ordering, lists the original state per planned position; the
+// conductor iterates in planned space and maps each converged vector
+// back before anyone else sees it.
 type fleetShardSession struct {
 	runID   int64
 	ss      *passage.ShardSession
 	members []*remoteShardMember
 	smcs    []*shardMemberConn
 	perm    []int
-	planned bool
 }
 
 // solvePoint solves one s-point across the shards, tagging every
@@ -471,7 +415,7 @@ func (s *fleetShardSession) solvePoint(idx int, sp complex128, wantWarm bool) ([
 // connections to batch duty.
 func (s *fleetShardSession) release() {
 	for _, smc := range s.smcs {
-		smc.post(shardEndV4Msg{RunID: s.runID})
+		smc.post(shardEndMsg{RunID: s.runID})
 		close(smc.req)
 	}
 }
@@ -491,7 +435,6 @@ func (s *fleetShardSession) fold(stats *RunStats) {
 		stats.ShardBoundary = st.Boundary
 	}
 	fleetShardSweeps.Add(float64(st.Sweeps))
-	fleetShardExchanged.Add(float64(st.Exchanged))
 	shardBoundaryVertices.Set(float64(st.Boundary))
 	shardExchangedValues.Add(float64(st.Exchanged))
 	shardExchangeSeconds.Add(float64(st.ExchangeNS) / 1e9)
@@ -522,12 +465,15 @@ func (f *Fleet) finishRecruit(rec *shardRecruit) {
 	}
 }
 
-// recruitSession enlists up to spec.ShardHint shard-capable workers,
-// assigns each a balanced row block of the spec's model, and builds
-// the conducting session. At least one member makes a session; zero
+// recruitSession enlists up to spec.ShardHint shard-capable workers and
+// builds the conducting session. Every member computes the
+// deterministic boundary-minimizing plan of (model, parts, targets)
+// itself and reports its placement; the master — which holds no kernel
+// — only validates that the placements tile the state space and
+// assembles the permutation. At least one member makes a session; zero
 // shard-capable workers within WaitTimeout is a readable failure (a
 // WaitTimeout of zero waits indefinitely, like the batch path).
-func (f *Fleet) recruitSession(spec *SolveSpec, header *runHeaderV3Msg) (*fleetShardSession, error) {
+func (f *Fleet) recruitSession(spec *SolveSpec, header *runHeaderMsg) (*fleetShardSession, error) {
 	want := spec.ShardHint
 	f.mu.Lock()
 	if f.closed {
@@ -547,11 +493,16 @@ func (f *Fleet) recruitSession(spec *SolveSpec, header *runHeaderV3Msg) (*fleetS
 	f.cond.Broadcast()
 	defer f.finishRecruit(rec)
 
-	var smcs []*shardMemberConn
+	// live holds the recruits not yet released; fail releases them all.
+	live := make(map[*shardMemberConn]bool, want)
+	release := func(smc *shardMemberConn) {
+		smc.post(shardEndMsg{RunID: runID})
+		close(smc.req)
+		delete(live, smc)
+	}
 	fail := func(err error) (*fleetShardSession, error) {
-		for _, smc := range smcs {
-			smc.post(shardEndV4Msg{RunID: runID})
-			close(smc.req)
+		for smc := range live {
+			release(smc)
 		}
 		return nil, err
 	}
@@ -562,6 +513,7 @@ func (f *Fleet) recruitSession(spec *SolveSpec, header *runHeaderV3Msg) (*fleetS
 		defer deadline.Stop()
 		deadlineC = deadline.C
 	}
+	var smcs []*shardMemberConn
 collect:
 	for len(smcs) < want {
 		var window <-chan time.Time
@@ -571,108 +523,32 @@ collect:
 		select {
 		case smc := <-rec.members:
 			smcs = append(smcs, smc)
+			live[smc] = true
 		case <-window:
 			break collect
 		case <-deadlineC:
 			if len(smcs) > 0 {
 				break collect
 			}
-			return fail(fmt.Errorf("pipeline: no shard-capable worker holds model %q after %v: sharded solves need wire v4 hydra-worker processes (v3 workers and -shard=false workers serve only whole-point batches)",
+			return fail(fmt.Errorf("pipeline: no shard-capable worker holds model %q after %v: sharded solves need hydra-worker processes whose model can be sharded",
 				spec.ModelFP, f.opts.WaitTimeout))
 		case <-f.closedCh:
 			return fail(errors.New("pipeline: fleet closed while recruiting shard members"))
 		}
 	}
 
-	// Session capability is the minimum shard revision over the recruits,
-	// all-or-nothing: one rev-0 worker drops the whole session to plain
-	// v4 lock-step conduct, so every member speaks the frames it will see.
-	planned := true
-	for _, smc := range smcs {
-		if smc.c.shardRev < 1 {
-			planned = false
-			break
-		}
-	}
-	if planned {
-		return f.recruitPlanned(spec, runID, smcs, header)
-	}
-
-	// More volunteers than blocks is possible on tiny models: ShardBlocks
-	// never returns empty blocks, so surplus members are released.
-	ranges := partition.ShardBlocks(spec.ModelStates, len(smcs), spec.Targets)
-	for _, smc := range smcs[len(ranges):] {
-		smc.post(shardEndV4Msg{RunID: runID})
-		close(smc.req)
-	}
-	smcs = smcs[:len(ranges)]
-
-	members := make([]*remoteShardMember, len(smcs))
-	ifaces := make([]passage.ShardMember, len(smcs))
-	for w, smc := range smcs {
-		rep, err := smc.roundTrip(shardStartV4Msg{RunID: runID, Header: header, Lo: ranges[w].Lo, Hi: ranges[w].Hi})
-		if err != nil {
-			return fail(err)
-		}
-		ready, ok := rep.(shardReadyV4Msg)
-		if !ok || ready.RunID != runID {
-			return fail(fmt.Errorf("%w: worker %q answered shard start with %T", errShardMemberLost, smc.c.name, rep))
-		}
-		if ready.Err != "" {
-			return fail(fmt.Errorf("pipeline: worker %q cannot host rows [%d,%d) of model %q: %s",
-				smc.c.name, ranges[w].Lo, ranges[w].Hi, spec.ModelFP, ready.Err))
-		}
-		members[w] = &remoteShardMember{
-			smc: smc, runID: runID, name: smc.c.name,
-			lo: ranges[w].Lo, hi: ranges[w].Hi, halo: ready.HaloCols,
-		}
-		ifaces[w] = members[w]
-	}
-	ss, err := passage.NewShardSession(spec.ModelStates, ifaces, f.opts.ShardOptions)
-	if err != nil {
-		return fail(err)
-	}
-	fleetShardSessions.Inc()
-	return &fleetShardSession{runID: runID, ss: ss, members: members, smcs: smcs}, nil
-}
-
-// recruitPlanned finishes recruiting over rev-1 workers (wire v4.1):
-// every member computes the deterministic boundary-minimizing plan of
-// (model, parts, targets) itself and reports its placement; the master
-// — which holds no kernel — only validates that the placements tile the
-// state space and assembles the permutation. The resulting session runs
-// with overlapped exchange and, when the fleet's ShardOptions ask for
-// it, multi-sweep batching.
-func (f *Fleet) recruitPlanned(spec *SolveSpec, runID int64, smcs []*shardMemberConn, header *runHeaderV3Msg) (*fleetShardSession, error) {
 	parts := len(smcs)
-	live := make(map[*shardMemberConn]bool, parts)
-	for _, smc := range smcs {
-		live[smc] = true
-	}
-	release := func(smc *shardMemberConn) {
-		smc.post(shardEndV4Msg{RunID: runID})
-		close(smc.req)
-		delete(live, smc)
-	}
-	fail := func(err error) (*fleetShardSession, error) {
-		for _, smc := range smcs {
-			if live[smc] {
-				release(smc)
-			}
-		}
-		return nil, err
-	}
 	type placed struct {
 		smc   *shardMemberConn
-		ready shardReadyV4Msg
+		ready shardReadyMsg
 	}
 	var placements []placed
 	for w, smc := range smcs {
-		rep, err := smc.roundTrip(shardStartV4Msg{RunID: runID, Header: header, Parts: parts, Part: w, Plan: true})
+		rep, err := smc.roundTrip(shardStartMsg{RunID: runID, Header: header, Parts: parts, Part: w})
 		if err != nil {
 			return fail(err)
 		}
-		ready, ok := rep.(shardReadyV4Msg)
+		ready, ok := rep.(shardReadyMsg)
 		if !ok || ready.RunID != runID {
 			return fail(fmt.Errorf("%w: worker %q answered shard start with %T", errShardMemberLost, smc.c.name, rep))
 		}
@@ -703,7 +579,7 @@ func (f *Fleet) recruitPlanned(spec *SolveSpec, runID int64, smcs []*shardMember
 		perm = make([]int, 0, n)
 	}
 	for _, p := range placements {
-		if p.ready.Lo != pos || p.ready.Hi <= p.ready.Lo {
+		if p.ready.Lo != pos || p.ready.Hi <= p.ready.Lo || p.ready.Hi > n {
 			return fail(fmt.Errorf("pipeline: planned shard placements do not tile model %q (gap at position %d)", spec.ModelFP, pos))
 		}
 		if (p.ready.PermRows != nil) != permuted || (permuted && len(p.ready.PermRows) != p.ready.Hi-p.ready.Lo) {
@@ -731,27 +607,26 @@ func (f *Fleet) recruitPlanned(spec *SolveSpec, runID int64, smcs []*shardMember
 	ifaces := make([]passage.ShardMember, len(placements))
 	keep := make([]*shardMemberConn, len(placements))
 	for w, p := range placements {
-		v2 := &remoteShardMemberV2{remoteShardMember{
+		members[w] = &remoteShardMember{
 			smc: p.smc, runID: runID, name: p.smc.c.name,
 			lo: p.ready.Lo, hi: p.ready.Hi, halo: p.ready.HaloCols,
-		}}
-		members[w] = &v2.remoteShardMember
-		ifaces[w] = v2
+		}
+		ifaces[w] = members[w]
 		keep[w] = p.smc
 	}
 	tuning := passage.ShardTuning{
 		Overlap:     shardOverlap(f.opts.ShardOptions.ShardOverlapRows, n/len(placements)),
 		InnerSweeps: f.opts.ShardOptions.ShardInnerSweeps,
 	}
-	ss, err := passage.NewShardSessionTuned(n, ifaces, f.opts.ShardOptions, tuning)
+	ss, err := passage.NewShardSession(n, ifaces, f.opts.ShardOptions, tuning)
 	if err != nil {
 		return fail(err)
 	}
 	fleetShardSessions.Inc()
-	return &fleetShardSession{runID: runID, ss: ss, members: members, smcs: keep, perm: perm, planned: true}, nil
+	return &fleetShardSession{runID: runID, ss: ss, members: members, smcs: keep, perm: perm}, nil
 }
 
-// shardOverlap decides whether a planned session uses overlapped halo
+// shardOverlap decides whether a session uses overlapped halo
 // exchange: the early frame doubles the per-round message count, so it
 // only pays when each member's interior sweep is long enough to hide
 // the relay behind (see passage.DefaultShardOverlapRows). minRows 0
@@ -763,7 +638,7 @@ func shardOverlap(minRows, rowsPerMember int) bool {
 	return minRows > 0 && rowsPerMember >= minRows
 }
 
-// executeSharded is Execute's wire-v4 path: instead of farming whole
+// executeSharded is Execute's sharded path: instead of farming whole
 // s-points to workers, each s-point is solved once across a recruited
 // set of workers, each holding one row block of the kernel. Points run
 // sequentially in index order so the distributed warm-start history
@@ -798,7 +673,7 @@ func (f *Fleet) executeSharded(spec *SolveSpec, cache Cache) ([][]complex128, *R
 		return values, stats, nil
 	}
 
-	header := &runHeaderV3Msg{
+	header := &runHeaderMsg{
 		Name:        spec.Name,
 		ModelFP:     spec.ModelFP,
 		ModelStates: spec.ModelStates,
@@ -806,13 +681,16 @@ func (f *Fleet) executeSharded(spec *SolveSpec, cache Cache) ([][]complex128, *R
 		Targets:     spec.Targets,
 		TraceID:     spec.TraceID,
 	}
+	strategy := "planned"
+	if f.opts.ShardOptions.ShardInnerSweeps > 1 {
+		strategy = "planned+batched"
+	}
 	span := obs.DefaultTracer.StartSpan(spec.TraceID, "fleet.shard").
 		SetAttr("spec", spec.Name).SetAttr("points", strconv.Itoa(len(pending))).
-		SetAttr("shard_hint", strconv.Itoa(spec.ShardHint))
+		SetAttr("shard_hint", strconv.Itoa(spec.ShardHint)).SetAttr("strategy", strategy)
 	defer span.End()
 
 	var sess *fleetShardSession
-	strategy := "lockstep"
 	defer func() {
 		if sess != nil {
 			sess.fold(stats)
@@ -820,8 +698,7 @@ func (f *Fleet) executeSharded(spec *SolveSpec, cache Cache) ([][]complex128, *R
 		}
 		// Runs before the deferred span.End: the exchange/compute split,
 		// measurable per solve without scraping /metrics.
-		span.SetAttr("strategy", strategy).
-			SetAttr("boundary_vertices", strconv.Itoa(stats.ShardBoundary)).
+		span.SetAttr("boundary_vertices", strconv.Itoa(stats.ShardBoundary)).
 			SetAttr("exchanged_values", strconv.FormatInt(stats.ShardExchanged, 10)).
 			SetAttr("exchange_seconds", strconv.FormatFloat(float64(stats.ShardExchangeNS)/1e9, 'g', 6, 64)).
 			SetAttr("compute_seconds", strconv.FormatFloat(float64(stats.ShardComputeNS)/1e9, 'g', 6, 64))
@@ -853,12 +730,6 @@ solve:
 					break solve
 				}
 				sess = s2
-				if s2.planned {
-					strategy = "planned"
-					if t := s2.ss.Tuning(); t.InnerSweeps > 1 {
-						strategy = "planned+batched"
-					}
-				}
 			}
 			// Warm only continues a contiguous contour walk, and never
 			// across a segment boundary (the s-value jumps there).

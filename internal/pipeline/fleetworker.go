@@ -30,35 +30,55 @@ type WorkerModel struct {
 	States      int
 	Evaluator   Evaluator
 
-	// NewShard builds a member holding rows [lo, hi) of the spec's
-	// kernel, for sharded (wire v4) solves: the master conducts the
-	// distributed sweep, this member fills and iterates only its block.
-	// Nil means the model cannot be sharded; a worker none of whose
-	// models shard announces NoShard and serves only whole-point
-	// batches. RunWorkerWith wires passage.NewShardSolver in here.
-	NewShard func(spec *SolveSpec, lo, hi int) (passage.ShardMember, error)
-
 	// NewShardPlanned builds the member for block part of the
-	// deterministic boundary-minimizing partition into parts blocks —
-	// the wire v4.1 placement, computed worker-side because the master
-	// holds no kernel. The returned placement reports the block's
-	// position in the planned ordering (and the ordering itself); a nil
-	// member with a nil error marks a surplus part. Nil disables rev 1:
-	// the worker announces ShardRev 0 and serves plain lock-step
-	// sharding only. RunWorkerWith wires passage.NewPlannedShardSolver
-	// in here.
+	// deterministic boundary-minimizing partition of the spec's kernel
+	// into parts blocks, for sharded solves: the master conducts the
+	// distributed sweep, this member fills and iterates only its block.
+	// The placement is computed worker-side because the master holds no
+	// kernel; it reports the block's position in the planned ordering
+	// (and the ordering itself). A nil member with a nil error marks a
+	// surplus part. Nil means the model cannot be sharded; a worker none
+	// of whose models shard serves only whole-point batches.
+	// RunWorkerWith wires passage.NewPlannedShardSolver in here.
 	NewShardPlanned func(spec *SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error)
 }
 
-// FleetWork connects to a fleet master (wire protocol v4), advertises
-// the given models, and serves until the master shuts the fleet down
-// (nil return) or the connection fails (error — callers that want a
-// resident worker reconnect with backoff, which is what
-// cmd/hydra-worker's -reconnect flag does). The worker serves two kinds
-// of work over one connection: assignment batches (whole s-points,
-// vectors streamed back as chunked frames) and shard memberships (the
-// worker holds one row block of a solve's kernel and answers the
-// master's lock-step sweep messages).
+// WorkerOptions tunes a fleet worker.
+type WorkerOptions struct {
+	// Name identifies the worker in master-side diagnostics.
+	Name string
+	// DialTimeout bounds the connection attempt (default 10s).
+	DialTimeout time.Duration
+	// FrameValues caps how many complex values a fleet worker packs into
+	// one result message before starting a new frame (default 1<<15).
+	// Masters reassemble any chunking, so this is purely a message-size
+	// policy; tests shrink it to exercise multi-frame vectors.
+	FrameValues int
+	// Logger receives the worker's structured log lines (handshake
+	// outcome, per-batch debug records carrying the master's trace ID).
+	// Nil discards them.
+	Logger *slog.Logger
+	// Tracer records worker-side spans, correlated with the master's by
+	// the trace ID travelling on run headers. Nil drops them.
+	Tracer *obs.Tracer
+}
+
+// logger returns the configured logger or a discarding one.
+func (o WorkerOptions) logger() *slog.Logger {
+	if o.Logger != nil {
+		return o.Logger
+	}
+	return slog.New(slog.DiscardHandler)
+}
+
+// FleetWork connects to a fleet master, advertises the given models,
+// and serves until the master shuts the fleet down (nil return) or the
+// connection fails (error — callers that want a resident worker
+// reconnect with backoff, which is what cmd/hydra-worker's -reconnect
+// flag does). The worker serves two kinds of work over one connection:
+// assignment batches (whole s-points, vectors streamed back as chunked
+// frames) and shard memberships (the worker holds one row block of a
+// solve's kernel and answers the master's sweep messages).
 func FleetWork(addr string, models []WorkerModel, opts WorkerOptions) error {
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 10 * time.Second
@@ -85,34 +105,12 @@ func FleetWorkConn(conn net.Conn, models []WorkerModel, opts WorkerOptions) erro
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
 
-	// A worker with no shardable model opts out up front, so the master
-	// never recruits it into a sharded run it would have to refuse.
-	noShard := opts.NoShard
-	if !noShard {
-		noShard = true
-		for _, m := range models {
-			if m.NewShard != nil {
-				noShard = false
-				break
-			}
-		}
-	}
-	// Shard conduct revision: rev 1 (plan-based placement, overlapped
-	// frames, batching) needs a planned constructor and survives the
-	// operator's NoShardExt rollback switch; otherwise the worker
-	// announces rev 0 and serves plain lock-step sharding.
-	shardRev := 0
-	if !noShard && !opts.NoShardExt {
-		for _, m := range models {
-			if m.NewShardPlanned != nil {
-				shardRev = 1
-				break
-			}
-		}
-	}
-	hello := helloV2Msg{Version: ProtocolVersion, WorkerName: opts.Name, NoShard: noShard, ShardRev: shardRev}
+	hello := helloMsg{Version: ProtocolVersion, WorkerName: opts.Name}
 	for _, m := range models {
 		hello.Models = append(hello.Models, modelAd{Fingerprint: m.Fingerprint, States: m.States})
+		// Shard capability is announced up front, so the master never
+		// recruits a worker into a sharded run it would have to refuse.
+		hello.Shard = hello.Shard || m.NewShardPlanned != nil
 	}
 	// The handshake is bare gob in both directions — that is what lets
 	// mixed-generation pairs exchange readable rejects.
@@ -126,11 +124,7 @@ func FleetWorkConn(conn net.Conn, models []WorkerModel, opts WorkerOptions) erro
 	switch {
 	case welcome.Reject != "":
 		return fmt.Errorf("%w: %s", ErrHandshakeRejected, welcome.Reject)
-	case welcome.ModelStates == -1:
-		return ErrHandshakeRejected
 	case welcome.Version != ProtocolVersion:
-		// A v1 master's job header decodes here with Version == 0: it
-		// does not speak the fleet protocol at all. A v3 master echoes 3.
 		return fmt.Errorf("%w: master speaks wire protocol v%d but this worker speaks v%d; deploy matching hydra binaries",
 			ErrHandshakeRejected, welcome.Version, ProtocolVersion)
 	}
@@ -140,7 +134,7 @@ func FleetWorkConn(conn net.Conn, models []WorkerModel, opts WorkerOptions) erro
 		"worker", opts.Name, "master", conn.RemoteAddr().String(),
 		"wire_version", welcome.Version, "models", len(models))
 
-	// Post-handshake, v4 traffic travels in gob interface envelopes: the
+	// Post-handshake traffic travels in gob interface envelopes: the
 	// registered wire name rides with each message, so batch and shard
 	// messages interleave on one stream.
 	w := &fleetWorker{
@@ -196,26 +190,26 @@ func (sr *workerShardRun) computeNS() int64 {
 // on a clean dismissal.
 func (w *fleetWorker) handle(msg any) (done bool, err error) {
 	switch m := msg.(type) {
-	case assignBatchV3Msg:
+	case assignBatchMsg:
 		if m.Done {
 			w.log.Info("fleet master dismissed worker", "worker", w.opts.Name)
 			return true, nil
 		}
 		return false, w.handleBatch(m)
-	case shardStartV4Msg:
+	case shardStartMsg:
 		return false, w.handleShardStart(m)
-	case shardPlanV4Msg:
+	case shardPlanMsg:
 		if sr := w.shards[m.RunID]; sr != nil {
 			if err := sr.member.SetBoundary(m.Boundary); err != nil {
 				sr.planErr = err.Error()
 			}
 		}
 		return false, nil // fire-and-forget: errors surface on the next point open
-	case shardPointV4Msg:
+	case shardPointMsg:
 		return false, w.handleShardPoint(m)
-	case shardSweepV4Msg:
+	case shardSweepMsg:
 		return false, w.handleShardSweep(m)
-	case shardEndV4Msg:
+	case shardEndMsg:
 		delete(w.shards, m.RunID)
 		return false, nil
 	default:
@@ -225,7 +219,7 @@ func (w *fleetWorker) handle(msg any) (done bool, err error) {
 
 // specFromHeader rebuilds the worker-side SolveSpec a run header
 // describes (the s-values travel separately, per assignment or point).
-func specFromHeader(h *runHeaderV3Msg) *SolveSpec {
+func specFromHeader(h *runHeaderMsg) *SolveSpec {
 	return &SolveSpec{
 		Name:        h.Name,
 		Quantity:    h.Quantity,
@@ -236,13 +230,11 @@ func specFromHeader(h *runHeaderV3Msg) *SolveSpec {
 	}
 }
 
-// handleShardStart accepts (or readably refuses) hosting one row block
-// of a sharded solve — assigned directly as [Lo, Hi) by a plain v4
-// master, or derived from the worker-side boundary-minimizing plan
-// under a v4.1 planned start.
-func (w *fleetWorker) handleShardStart(m shardStartV4Msg) error {
+// handleShardStart accepts (or readably refuses) hosting one block of a
+// sharded solve, derived from the worker-side boundary-minimizing plan.
+func (w *fleetWorker) handleShardStart(m shardStartMsg) error {
 	refuse := func(reason string) error {
-		return w.send(shardReadyV4Msg{RunID: m.RunID, Err: reason})
+		return w.send(shardReadyMsg{RunID: m.RunID, Err: reason})
 	}
 	if m.Header == nil {
 		return refuse("shard start carried no run header")
@@ -251,137 +243,89 @@ func (w *fleetWorker) handleShardStart(m shardStartV4Msg) error {
 	if err != nil {
 		return refuse(err.Error())
 	}
-	spec := specFromHeader(m.Header)
-	if m.Plan {
-		if wm.NewShardPlanned == nil {
-			return refuse(fmt.Sprintf("model %q on this worker has no planned shard constructor", m.Header.ModelFP))
-		}
-		member, placement, err := wm.NewShardPlanned(spec, m.Parts, m.Part)
-		if err != nil {
-			return refuse(err.Error())
-		}
-		if member == nil {
-			// Surplus part: the plan yielded fewer blocks than workers.
-			return w.send(shardReadyV4Msg{RunID: m.RunID})
-		}
-		w.shards[m.RunID] = &workerShardRun{member: member, spec: spec}
-		w.log.Info("hosting planned shard block",
-			"worker", w.opts.Name, "trace_id", spec.TraceID, "spec", spec.Name,
-			"part", m.Part, "parts", m.Parts, "lo", placement.Lo, "hi", placement.Hi,
-			"halo", len(member.HaloColumns()), "permuted", placement.Perm != nil)
-		return w.send(shardReadyV4Msg{
-			RunID: m.RunID, HaloCols: member.HaloColumns(),
-			Lo: placement.Lo, Hi: placement.Hi, PermRows: placement.Perm,
-		})
-	}
-	if wm.NewShard == nil {
+	if wm.NewShardPlanned == nil {
 		return refuse(fmt.Sprintf("model %q on this worker has no shard constructor", m.Header.ModelFP))
 	}
-	member, err := wm.NewShard(spec, m.Lo, m.Hi)
+	spec := specFromHeader(m.Header)
+	member, placement, err := wm.NewShardPlanned(spec, m.Parts, m.Part)
 	if err != nil {
 		return refuse(err.Error())
+	}
+	if member == nil {
+		// Surplus part: the plan yielded fewer blocks than workers.
+		return w.send(shardReadyMsg{RunID: m.RunID})
 	}
 	w.shards[m.RunID] = &workerShardRun{member: member, spec: spec}
 	w.log.Info("hosting shard block",
 		"worker", w.opts.Name, "trace_id", spec.TraceID, "spec", spec.Name,
-		"lo", m.Lo, "hi", m.Hi, "halo", len(member.HaloColumns()))
-	return w.send(shardReadyV4Msg{RunID: m.RunID, HaloCols: member.HaloColumns(), Lo: m.Lo, Hi: m.Hi})
+		"part", m.Part, "parts", m.Parts, "lo", placement.Lo, "hi", placement.Hi,
+		"halo", len(member.HaloColumns()), "permuted", placement.Perm != nil)
+	return w.send(shardReadyMsg{
+		RunID: m.RunID, HaloCols: member.HaloColumns(),
+		Lo: placement.Lo, Hi: placement.Hi, PermRows: placement.Perm,
+	})
 }
 
 // handleShardPoint opens one s-point on the local block and answers the
 // seed's boundary values as the Seq-0 delta.
-func (w *fleetWorker) handleShardPoint(m shardPointV4Msg) error {
+func (w *fleetWorker) handleShardPoint(m shardPointMsg) error {
 	sr := w.shards[m.RunID]
 	if sr == nil {
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Err: fmt.Sprintf("worker holds no shard of run %d", m.RunID)})
+		return w.send(shardDeltaMsg{RunID: m.RunID, Err: fmt.Sprintf("worker holds no shard of run %d", m.RunID)})
 	}
 	if sr.planErr != "" {
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Err: "boundary plan failed: " + sr.planErr})
+		return w.send(shardDeltaMsg{RunID: m.RunID, Err: "boundary plan failed: " + sr.planErr})
 	}
 	sr.curIdx = m.Index
-	var boundary []complex128
-	var err error
+	begin := sr.member.BeginPoint
 	if m.Batch {
-		ext, ok := sr.member.(passage.ShardMemberExt)
-		if !ok {
-			return w.send(shardDeltaV4Msg{RunID: m.RunID, Err: "master requested a batched point open but this member has no multi-sweep support"})
-		}
-		boundary, err = ext.BeginPointFP(m.S, m.Warm)
-	} else {
-		boundary, err = sr.member.BeginPoint(m.S, m.Warm)
+		begin = sr.member.BeginPointFP
 	}
+	boundary, err := begin(m.S, m.Warm)
 	if err != nil {
 		workerPointErrors.Inc()
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Err: err.Error()})
+		return w.send(shardDeltaMsg{RunID: m.RunID, Err: err.Error()})
 	}
-	return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: 0, Boundary: boundary, ComputeNS: sr.computeNS()})
+	return w.send(shardDeltaMsg{RunID: m.RunID, Seq: 0, Boundary: boundary, ComputeNS: sr.computeNS()})
 }
 
-// handleShardSweep runs one lock-step sweep over the local block — or,
+// handleShardSweep runs one exchange's sweeps over the local block — or,
 // on Finish, closes the point and answers with the block's slice of the
-// converged vector.
-func (w *fleetWorker) handleShardSweep(m shardSweepV4Msg) error {
+// converged vector. An Early request ships the boundary rows in an
+// early frame while the interior still sweeps, and is always answered
+// with exactly two deltas — the early frame first, then the closing
+// frame carrying the increment norm — even when the member errors, so
+// the master's reply accounting never desyncs.
+func (w *fleetWorker) handleShardSweep(m shardSweepMsg) error {
 	sr := w.shards[m.RunID]
 	if sr == nil {
 		if m.Finish {
-			return w.send(shardBlockV4Msg{RunID: m.RunID, Err: fmt.Sprintf("worker holds no shard of run %d", m.RunID)})
+			return w.send(shardBlockMsg{RunID: m.RunID, Err: fmt.Sprintf("worker holds no shard of run %d", m.RunID)})
 		}
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Err: fmt.Sprintf("worker holds no shard of run %d", m.RunID)})
+		return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Err: fmt.Sprintf("worker holds no shard of run %d", m.RunID)})
 	}
 	if m.Finish {
 		data, err := sr.member.Finish(m.Halo)
 		if err != nil {
 			workerPointErrors.Inc()
-			return w.send(shardBlockV4Msg{RunID: m.RunID, Index: sr.curIdx, Err: err.Error()})
+			return w.send(shardBlockMsg{RunID: m.RunID, Index: sr.curIdx, Err: err.Error()})
 		}
 		workerPoints.Inc()
-		return w.send(shardBlockV4Msg{RunID: m.RunID, Index: sr.curIdx, Data: data, ComputeNS: sr.computeNS()})
-	}
-	if m.Inner > 1 || m.Early {
-		return w.handleShardSweepExt(sr, m)
-	}
-	boundary, norm, err := sr.member.Sweep(m.Halo)
-	if err != nil {
-		workerPointErrors.Inc()
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
-	}
-	return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Boundary: boundary, Norm: norm, ComputeNS: sr.computeNS()})
-}
-
-// handleShardSweepExt serves the v4.1 sweep shapes: multi-sweep batches
-// (Inner > 1) and overlapped exchanges (Early), where the boundary rows
-// ship in an early frame while the interior still sweeps. An Early
-// request is always answered with exactly two deltas — the early frame
-// first, then the closing frame carrying the increment norm — even when
-// the member errors, so the master's reply accounting never desyncs.
-func (w *fleetWorker) handleShardSweepExt(sr *workerShardRun, m shardSweepV4Msg) error {
-	ext, ok := sr.member.(passage.ShardMemberExt)
-	if !ok {
-		err := w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Early: m.Early,
-			Err: "master requested a v4.1 sweep but this member has no multi-sweep support"})
-		if err != nil || !m.Early {
-			return err
-		}
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq,
-			Err: "master requested a v4.1 sweep but this member has no multi-sweep support"})
-	}
-	inner := m.Inner
-	if inner < 1 {
-		inner = 1
+		return w.send(shardBlockMsg{RunID: m.RunID, Index: sr.curIdx, Data: data, ComputeNS: sr.computeNS()})
 	}
 	if !m.Early {
-		boundary, norm, err := ext.SweepN(m.Halo, inner, nil)
+		boundary, norm, err := sr.member.SweepN(m.Halo, m.Inner, nil)
 		if err != nil {
 			workerPointErrors.Inc()
-			return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
+			return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
 		}
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Boundary: boundary, Norm: norm, ComputeNS: sr.computeNS()})
+		return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Boundary: boundary, Norm: norm, ComputeNS: sr.computeNS()})
 	}
 	earlySent := false
 	var sendErr error
-	_, norm, err := ext.SweepN(m.Halo, inner, func(b []complex128) {
+	_, norm, err := sr.member.SweepN(m.Halo, m.Inner, func(b []complex128) {
 		earlySent = true
-		sendErr = w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Boundary: b, Early: true})
+		sendErr = w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Boundary: b, Early: true})
 	})
 	if sendErr != nil {
 		return sendErr // transport failure: the relay is gone anyway
@@ -389,13 +333,13 @@ func (w *fleetWorker) handleShardSweepExt(sr *workerShardRun, m shardSweepV4Msg)
 	if err != nil {
 		workerPointErrors.Inc()
 		if !earlySent {
-			if serr := w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Early: true, Err: err.Error()}); serr != nil {
+			if serr := w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Early: true, Err: err.Error()}); serr != nil {
 				return serr
 			}
 		}
-		return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
+		return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
 	}
-	return w.send(shardDeltaV4Msg{RunID: m.RunID, Seq: m.Seq, Norm: norm, ComputeNS: sr.computeNS()})
+	return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Norm: norm, ComputeNS: sr.computeNS()})
 }
 
 // handleBatch evaluates one assignment batch, streaming each point's
@@ -403,7 +347,10 @@ func (w *fleetWorker) handleShardSweepExt(sr *workerShardRun, m shardSweepV4Msg)
 // values; the final message of the batch sets Last so the master knows
 // the stream is over, and carries the batch's phase attribution for
 // Stats.Phases.
-func (w *fleetWorker) handleBatch(a assignBatchV3Msg) error {
+func (w *fleetWorker) handleBatch(a assignBatchMsg) error {
+	if len(a.Points) != len(a.Indices) {
+		return fmt.Errorf("pipeline: master assigned %d points for %d indices", len(a.Points), len(a.Indices))
+	}
 	for _, id := range a.Forget {
 		delete(w.runs, id)
 	}
@@ -471,13 +418,13 @@ func (w *fleetWorker) handleBatch(a assignBatchV3Msg) error {
 	return nil
 }
 
-// frameStream packs point vectors into resultFrameV3Msg messages,
+// frameStream packs point vectors into resultFrameMsg messages,
 // flushing whenever the pending payload reaches the budget.
 type frameStream struct {
 	send    func(msg any) error
 	runID   int64
 	budget  int
-	pending []pointFrameV3
+	pending []pointFrame
 	load    int // complex values buffered in pending
 }
 
@@ -487,7 +434,7 @@ func (fs *frameStream) flush(last bool, phaseNS map[string]int64, depth, warm, s
 	if !last && len(fs.pending) == 0 {
 		return nil
 	}
-	msg := resultFrameV3Msg{RunID: fs.runID, Last: last, Frames: fs.pending}
+	msg := resultFrameMsg{RunID: fs.runID, Last: last, Frames: fs.pending}
 	if last {
 		msg.PhaseNS = phaseNS
 		msg.TotalDepth = depth
@@ -503,7 +450,7 @@ func (fs *frameStream) flush(last bool, phaseNS map[string]int64, depth, warm, s
 }
 
 // add buffers one frame and flushes when the budget fills.
-func (fs *frameStream) add(fr pointFrameV3) error {
+func (fs *frameStream) add(fr pointFrame) error {
 	fs.pending = append(fs.pending, fr)
 	fs.load += len(fr.Data)
 	if fs.load >= fs.budget {
@@ -516,14 +463,14 @@ func (fs *frameStream) add(fr pointFrameV3) error {
 func (fs *frameStream) sendVector(idx int, vec []complex128) error {
 	total := len(vec)
 	if total == 0 {
-		return fs.add(pointFrameV3{Index: idx, Total: 0})
+		return fs.add(pointFrame{Index: idx, Total: 0})
 	}
 	for off := 0; off < total; off += fs.budget {
 		end := off + fs.budget
 		if end > total {
 			end = total
 		}
-		if err := fs.add(pointFrameV3{Index: idx, Offset: off, Total: total, Data: vec[off:end]}); err != nil {
+		if err := fs.add(pointFrame{Index: idx, Offset: off, Total: total, Data: vec[off:end]}); err != nil {
 			return err
 		}
 	}
@@ -532,7 +479,7 @@ func (fs *frameStream) sendVector(idx int, vec []complex128) error {
 
 // sendError reports one point's evaluation failure.
 func (fs *frameStream) sendError(idx int, msg string) error {
-	return fs.add(pointFrameV3{Index: idx, Err: msg})
+	return fs.add(pointFrame{Index: idx, Err: msg})
 }
 
 // finish flushes whatever remains with the Last marker, attaching the
@@ -551,7 +498,7 @@ type workerRun struct {
 // by fingerprint when the solve names one, by state count otherwise.
 // The master only routes matching solves, so a miss here is a protocol
 // error.
-func matchWorkerModel(models []WorkerModel, h *runHeaderV3Msg) (WorkerModel, error) {
+func matchWorkerModel(models []WorkerModel, h *runHeaderMsg) (WorkerModel, error) {
 	for _, m := range models {
 		if h.ModelFP != "" {
 			if m.Fingerprint == h.ModelFP && (h.ModelStates == 0 || m.States == h.ModelStates) {

@@ -19,10 +19,10 @@ type RunStats struct {
 	TotalDepth  int64         // summed iteration depths (0 if unknown)
 	WarmStarted int           // solves seeded from a neighbouring s-point (WarmStart on)
 	SweepsSaved int64         // estimated sweeps avoided by warm starts (0 if unknown)
-	// Sharded-run (wire v4) counters: zero on batch and in-process runs.
+	// Sharded-run counters: zero on batch and in-process runs.
 	Shards          int   // row blocks the kernel was split into (max across sessions)
 	Resharded       int   // sessions rebuilt after losing a shard member
-	ShardSweeps     int64 // distributed lock-step sweeps
+	ShardSweeps     int64 // distributed sweeps (inner sweeps included)
 	ShardExchanged  int64 // complex boundary/halo values moved between blocks
 	ShardComputeNS  int64 // summed member compute time (ns)
 	ShardCriticalNS int64 // per-sweep max member compute, summed (ns) — the sharded critical path

@@ -18,12 +18,8 @@
 // Job execution is abstracted behind the Backend interface so callers
 // are indifferent to the compute substrate. Two backends are provided:
 // an in-process worker pool (InProc, goroutines) and a resident TCP
-// fleet (Fleet, wire protocol v3: vector results travel as chunked
-// frames), mirroring the paper's cluster deployment on a single machine
-// or a real network. The one-shot v1 TCP pair (Serve/Work) remains for
-// the batch CLIs' original protocol and as the compatibility reference;
-// its wire format still carries scalars (the worker applies the job's
-// source weighting before answering).
+// fleet (Fleet: vector results travel as chunked frames), mirroring the
+// paper's cluster deployment on a single machine or a real network.
 package pipeline
 
 import (
@@ -80,8 +76,7 @@ type SolveSpec struct {
 
 	// ModelFP and ModelStates identify the model the spec must run
 	// against; a Fleet routes the solve only to workers advertising this
-	// fingerprint, and a zero value disables the corresponding check
-	// (matching v1's MasterOptions.ModelStates == 0 escape hatch). They
+	// fingerprint, and a zero value disables the corresponding check. They
 	// are routing metadata, not content: neither participates in
 	// Fingerprint(), so cache keys are unchanged — Name is what must
 	// embed model identity when a cache is shared across models (the
@@ -108,7 +103,7 @@ type SolveSpec struct {
 
 	// ShardHint asks a capable backend to split each solve's kernel into
 	// up to this many contiguous row blocks held by different workers
-	// (wire v4 sharding) instead of farming whole s-points out. Zero or
+	// instead of farming whole s-points out. Zero or
 	// one means unsharded. Like SegmentHint it is scheduling metadata,
 	// not content: the sharded solve provably computes the same vectors
 	// (see passage's differential harness), so it does not participate

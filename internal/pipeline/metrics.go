@@ -29,13 +29,13 @@ var (
 	fleetAccepted = obs.Default.NewCounter("hydra_fleet_handshakes_accepted_total",
 		"Worker handshakes accepted.")
 	fleetRejected = obs.Default.NewCounter("hydra_fleet_handshakes_rejected_total",
-		"Worker handshakes rejected (version or model mismatch).")
+		"Worker handshakes rejected (version or model mismatch, undecodable hello).")
 	fleetRequeued = obs.Default.NewCounter("hydra_fleet_requeued_points_total",
 		"Points returned to the queue after a worker loss.")
 	fleetRunsActive = obs.Default.NewGauge("hydra_fleet_runs_active",
 		"Fleet solves currently executing.")
 	fleetWireVersion = obs.Default.NewGauge("hydra_fleet_wire_protocol_version",
-		"Fleet wire protocol generation this binary speaks.")
+		"Fleet wire protocol version this binary speaks.")
 	fleetAssignedPoints = obs.Default.NewCounterVec("hydra_fleet_assigned_points_total",
 		"Points assigned, by worker.", "worker")
 	fleetCompletedPoints = obs.Default.NewCounterVec("hydra_fleet_completed_points_total",
@@ -45,15 +45,13 @@ var (
 	fleetWorkerIdle = obs.Default.NewCounterVec("hydra_fleet_worker_idle_seconds_total",
 		"Seconds a connected worker spent waiting for work, by worker.", "worker")
 
-	// Sharded solves (wire v4): one kernel split across several workers.
+	// Sharded solves: one kernel split across several workers.
 	fleetShardSessions = obs.Default.NewCounter("hydra_fleet_shard_sessions_total",
 		"Shard sessions built (recruited member sets, including re-shards).")
 	fleetShardMembers = obs.Default.NewGauge("hydra_fleet_shard_members",
 		"Worker connections currently serving as shard members.")
 	fleetShardSweeps = obs.Default.NewCounter("hydra_fleet_shard_sweeps_total",
-		"Distributed lock-step sweeps conducted across shard members.")
-	fleetShardExchanged = obs.Default.NewCounter("hydra_fleet_shard_exchanged_values_total",
-		"Complex boundary/halo values exchanged between shard blocks.")
+		"Distributed sweeps conducted across shard members (inner sweeps included).")
 	fleetShardReshards = obs.Default.NewCounter("hydra_fleet_shard_reshards_total",
 		"Shard sessions rebuilt after losing a member mid-run.")
 	// The exchange tax, measurable in production: how much of a sharded
@@ -77,7 +75,7 @@ var (
 	workerBatchDuration = obs.Default.NewHistogram("hydra_worker_batch_duration_seconds",
 		"Wall time evaluating one assignment batch.", obs.DefBuckets)
 	workerWireVersion = obs.Default.NewGauge("hydra_worker_wire_protocol_version",
-		"Negotiated wire protocol version of the last successful handshake.")
+		"Wire protocol version of the last successful handshake.")
 	// WorkerReconnects is incremented by resident worker loops
 	// (cmd/hydra-worker) on every redial after a lost connection.
 	WorkerReconnects = obs.Default.NewCounter("hydra_worker_reconnects_total",

@@ -1,18 +1,14 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"hydra/internal/dist"
 	"hydra/internal/lt"
@@ -235,122 +231,6 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	}
 }
 
-func TestDispatcherRequeue(t *testing.T) {
-	d := newDispatcher([]int{1, 2})
-	a, ok := d.next()
-	if !ok {
-		t.Fatal("no first item")
-	}
-	b, ok := d.next()
-	if !ok {
-		t.Fatal("no second item")
-	}
-	if a == b {
-		t.Fatal("duplicate dispatch")
-	}
-	d.requeue(a)
-	c, ok := d.next()
-	if !ok || c != a {
-		t.Fatalf("requeued item not redelivered: got %d ok=%v", c, ok)
-	}
-	done := make(chan struct{})
-	go func() {
-		_, ok := d.next()
-		if ok {
-			t.Error("next returned an item after finish")
-		}
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	d.finish()
-	<-done
-}
-
-func TestTCPMasterWorkerEndToEnd(t *testing.T) {
-	m := testModel(t)
-	ts := []float64{0.3, 0.8, 1.6}
-	job := densityJob(m, ts)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, 3)
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eval := NewSolverEvaluator(m, passage.Options{})
-			workerErrs[w] = Work(addr, eval, m.N(), WorkerOptions{Name: fmt.Sprintf("w%d", w)})
-		}(w)
-	}
-
-	vals, stats, err := Serve(ln, job, nil, MasterOptions{ModelStates: m.N()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for w, werr := range workerErrs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", w, werr)
-		}
-	}
-	if stats.Evaluated != len(job.Points) {
-		t.Errorf("evaluated %d, want %d", stats.Evaluated, len(job.Points))
-	}
-
-	// Same values as the in-process pool (whose vectors reduce through
-	// the job weighting).
-	refVecs, _, err := Run(job.Spec(), func() Evaluator {
-		return NewSolverEvaluator(m, passage.Options{})
-	}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := job.ReadVectors(refVecs)
-	for i := range vals {
-		if cmplx.Abs(vals[i]-ref[i]) > 1e-12 {
-			t.Fatalf("point %d: tcp %v vs inproc %v", i, vals[i], ref[i])
-		}
-	}
-}
-
-func TestTCPRejectsWrongModel(t *testing.T) {
-	m := testModel(t)
-	job := densityJob(m, []float64{0.5})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-
-	wrongDone := make(chan error, 1)
-	go func() {
-		eval := NewSolverEvaluator(m, passage.Options{})
-		wrongDone <- Work(addr, eval, 999, WorkerOptions{Name: "wrong"})
-	}()
-	// A correct worker finishes the job so Serve returns.
-	goodDone := make(chan error, 1)
-	go func() {
-		eval := NewSolverEvaluator(m, passage.Options{})
-		goodDone <- Work(addr, eval, m.N(), WorkerOptions{Name: "good"})
-	}()
-
-	_, _, err = Serve(ln, job, nil, MasterOptions{ModelStates: m.N()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-wrongDone; err == nil {
-		t.Error("mismatched worker was not rejected")
-	}
-	if err := <-goodDone; err != nil {
-		t.Errorf("good worker: %v", err)
-	}
-}
-
 func TestJobValidate(t *testing.T) {
 	m := testModel(t)
 	job := densityJob(m, []float64{1})
@@ -421,52 +301,6 @@ func TestRunPropagatesEvaluatorErrors(t *testing.T) {
 	_, _, err := Run(job.Spec(), func() Evaluator { return failingEvaluator{} }, 2, nil)
 	if err == nil || !strings.Contains(err.Error(), "synthetic evaluator failure") {
 		t.Errorf("err = %v, want evaluator failure", err)
-	}
-}
-
-// TestServePropagatesWorkerErrors checks that an evaluation failure
-// reaches both sides as a structured *PointError — worker name, point
-// index, evaluator message — not a bare string stripped of its origin.
-func TestServePropagatesWorkerErrors(t *testing.T) {
-	m := testModel(t)
-	job := densityJob(m, []float64{0.5})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- Work(ln.Addr().String(), failingEvaluator{}, m.N(), WorkerOptions{Name: "bad"})
-	}()
-	_, _, err = Serve(ln, job, nil, MasterOptions{ModelStates: m.N()})
-	if err == nil {
-		t.Fatal("Serve did not report the worker failure")
-	}
-	var masterErr *PointError
-	if !errors.As(err, &masterErr) {
-		t.Fatalf("master error %v is not a *PointError", err)
-	}
-	if masterErr.Worker != "bad" {
-		t.Errorf("master's PointError names worker %q, want bad", masterErr.Worker)
-	}
-	if masterErr.Index < 0 || masterErr.Index >= len(job.Points) {
-		t.Errorf("master's PointError index %d outside the job's %d points", masterErr.Index, len(job.Points))
-	}
-	if !strings.Contains(masterErr.Msg, "synthetic evaluator failure") {
-		t.Errorf("master's PointError %q lost the evaluator detail", masterErr.Msg)
-	}
-
-	werr := <-done
-	if werr == nil {
-		t.Fatal("worker did not report its own failure")
-	}
-	var workerErr *PointError
-	if !errors.As(werr, &workerErr) {
-		t.Fatalf("worker error %v is not a *PointError", werr)
-	}
-	if workerErr.Worker != "bad" || workerErr.Index != masterErr.Index {
-		t.Errorf("worker reported (%q, %d), master reported (%q, %d); they should agree",
-			workerErr.Worker, workerErr.Index, masterErr.Worker, masterErr.Index)
 	}
 }
 

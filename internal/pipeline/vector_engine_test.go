@@ -1,12 +1,9 @@
 package pipeline
 
 import (
-	"encoding/gob"
 	"math/cmplx"
-	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,7 +61,7 @@ func TestCheckpointIgnoresScalarV1Records(t *testing.T) {
 // TestFleetChunkedVectorFrames forces the worker to split every vector
 // across multiple frames (FrameValues 2 on a 3-state model) and checks
 // the master reassembles them into values identical to the in-process
-// engine. This is the v3 payload contract end to end.
+// engine. This is the payload contract end to end.
 func TestFleetChunkedVectorFrames(t *testing.T) {
 	m := testModel(t)
 	const fp = "fp-chunk"
@@ -107,38 +104,6 @@ func TestFleetChunkedVectorFrames(t *testing.T) {
 	fleet.Close()
 	if err := <-done; err != nil {
 		t.Errorf("worker: %v", err)
-	}
-}
-
-// TestFleetRejectsV2Worker pins the v2→v3 negotiation: a worker
-// announcing the scalar-era protocol version is refused with a message
-// naming both versions, and the refusal is permanent (the reject field
-// is set, so FleetWork surfaces ErrHandshakeRejected).
-func TestFleetRejectsV2Worker(t *testing.T) {
-	fleet := testFleet(t, FleetOptions{})
-	conn, err := net.Dial("tcp", fleet.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(helloV2Msg{Version: 2, WorkerName: "scalar-era", Models: []modelAd{{Fingerprint: "x", States: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	var welcome welcomeMsg
-	if err := dec.Decode(&welcome); err != nil {
-		t.Fatal(err)
-	}
-	if welcome.Reject == "" || welcome.ModelStates != -1 {
-		t.Fatalf("v2 worker not rejected: %+v", welcome)
-	}
-	for _, want := range []string{"v3", "v2", "scalar-era"} {
-		if !strings.Contains(welcome.Reject, want) {
-			t.Errorf("reject reason %q missing %q", welcome.Reject, want)
-		}
-	}
-	if got := fleet.Snapshot().Rejected; got != 1 {
-		t.Errorf("fleet counted %d rejections, want 1", got)
 	}
 }
 

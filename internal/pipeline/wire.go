@@ -5,66 +5,48 @@ import (
 	"io"
 )
 
-// The master/worker wire protocol is encoding/gob over TCP. The
-// concrete encodes in master.go/worker.go/fleet.go never emit type
-// names, so the format is pinned by the golden-bytes test in
-// wire_test.go — renaming or re-typing a field changes those bytes and
-// fails the test before it can strand mismatched master/worker binaries
-// at runtime. The explicit registrations below fix the names used
-// wherever a message travels inside an interface value (extensions,
-// debugging encoders), keeping that path stable across struct moves as
-// well.
+// The fleet wire protocol is encoding/gob over TCP: a bare hello /
+// welcome handshake (so a mismatched binary always decodes it and reads
+// the reject), then every message inside a gob interface envelope. The
+// envelope carries the registered name below, so these names are the
+// wire format; the golden-bytes test in wire_test.go pins them together
+// with every field. Renaming or re-typing anything here changes those
+// bytes and fails the test before it can strand mismatched master and
+// worker binaries at runtime — such a change must bump ProtocolVersion.
 func init() {
-	// Protocol v1 (one-shot Serve/Work, scalar results).
-	gob.RegisterName("hydra/pipeline.helloMsg", helloMsg{})
-	gob.RegisterName("hydra/pipeline.jobHeaderMsg", jobHeaderMsg{})
-	gob.RegisterName("hydra/pipeline.assignMsg", assignMsg{})
-	gob.RegisterName("hydra/pipeline.resultMsg", resultMsg{})
-	// Handshake (shared by fleet protocol generations v2+).
-	gob.RegisterName("hydra/pipeline.helloV2Msg", helloV2Msg{})
-	gob.RegisterName("hydra/pipeline.modelAd", modelAd{})
-	gob.RegisterName("hydra/pipeline.welcomeMsg", welcomeMsg{})
-	// Protocol v3 (resident Fleet/FleetWork, chunked vector frames).
-	gob.RegisterName("hydra/pipeline.runHeaderV3Msg", runHeaderV3Msg{})
-	gob.RegisterName("hydra/pipeline.assignBatchV3Msg", assignBatchV3Msg{})
-	gob.RegisterName("hydra/pipeline.resultFrameV3Msg", resultFrameV3Msg{})
-	gob.RegisterName("hydra/pipeline.pointFrameV3", pointFrameV3{})
-	// Protocol v4 (sharded solves; post-handshake messages travel in gob
-	// interface envelopes, so these names are what goes on the wire).
-	// Registered after every earlier generation so the existing golden
-	// bytes — and with them v3 interoperability — cannot shift.
-	gob.RegisterName("hydra/pipeline.shardStartV4Msg", shardStartV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardReadyV4Msg", shardReadyV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardPlanV4Msg", shardPlanV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardPointV4Msg", shardPointV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardSweepV4Msg", shardSweepV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardDeltaV4Msg", shardDeltaV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardBlockV4Msg", shardBlockV4Msg{})
-	gob.RegisterName("hydra/pipeline.shardEndV4Msg", shardEndV4Msg{})
+	gob.RegisterName("hydra/pipeline.assignBatchMsg", assignBatchMsg{})
+	gob.RegisterName("hydra/pipeline.resultFrameMsg", resultFrameMsg{})
+	gob.RegisterName("hydra/pipeline.shardStartMsg", shardStartMsg{})
+	gob.RegisterName("hydra/pipeline.shardReadyMsg", shardReadyMsg{})
+	gob.RegisterName("hydra/pipeline.shardPlanMsg", shardPlanMsg{})
+	gob.RegisterName("hydra/pipeline.shardPointMsg", shardPointMsg{})
+	gob.RegisterName("hydra/pipeline.shardSweepMsg", shardSweepMsg{})
+	gob.RegisterName("hydra/pipeline.shardDeltaMsg", shardDeltaMsg{})
+	gob.RegisterName("hydra/pipeline.shardBlockMsg", shardBlockMsg{})
+	gob.RegisterName("hydra/pipeline.shardEndMsg", shardEndMsg{})
 
 	// Pin gob's global type-id allocation by encoding every protocol
-	// message once, v1 first, in a fixed order. The ids a fresh encoder
-	// emits are allocated process-globally on first use, so without this
-	// the exact descriptor bytes would depend on which code path encoded
-	// first — breaking the golden-bytes tests' ability to detect real
-	// drift. (Interoperability never depends on the ids: gob streams are
+	// message once in a fixed order. The ids a fresh encoder emits are
+	// allocated process-globally on first use, so without this the exact
+	// descriptor bytes would depend on which code path encoded first —
+	// breaking the golden-bytes test's ability to detect real drift.
+	// (Interoperability never depends on the ids: gob streams are
 	// self-describing.)
 	enc := gob.NewEncoder(io.Discard)
 	for _, m := range []any{
-		helloMsg{}, jobHeaderMsg{}, assignMsg{}, resultMsg{},
-		helloV2Msg{Models: []modelAd{{}}},
+		helloMsg{Models: []modelAd{{}}},
 		welcomeMsg{},
-		assignBatchV3Msg{Header: &runHeaderV3Msg{}, Forget: []int64{0},
+		assignBatchMsg{Header: &runHeaderMsg{}, Forget: []int64{0},
 			Indices: []int{0}, Points: []complex128{0}},
-		resultFrameV3Msg{Frames: []pointFrameV3{{Data: []complex128{0}}}},
-		shardStartV4Msg{Header: &runHeaderV3Msg{}},
-		shardReadyV4Msg{HaloCols: []int{0}},
-		shardPlanV4Msg{Boundary: []int{0}},
-		shardPointV4Msg{},
-		shardSweepV4Msg{Halo: []complex128{0}},
-		shardDeltaV4Msg{Boundary: []complex128{0}},
-		shardBlockV4Msg{Data: []complex128{0}},
-		shardEndV4Msg{},
+		resultFrameMsg{Frames: []pointFrame{{Data: []complex128{0}}}},
+		shardStartMsg{Header: &runHeaderMsg{}},
+		shardReadyMsg{HaloCols: []int{0}},
+		shardPlanMsg{Boundary: []int{0}},
+		shardPointMsg{},
+		shardSweepMsg{Halo: []complex128{0}},
+		shardDeltaMsg{Boundary: []complex128{0}},
+		shardBlockMsg{Data: []complex128{0}},
+		shardEndMsg{},
 	} {
 		if err := enc.Encode(m); err != nil {
 			panic("pipeline: priming wire types: " + err.Error())

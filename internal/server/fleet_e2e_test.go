@@ -149,7 +149,7 @@ func TestFleetServeEndToEnd(t *testing.T) {
 
 // TestFleetServeShardedEndToEnd boots hydra-serve in fleet mode with
 // Config.Shard set (the -shard N flag) and two workers, so every solve
-// splits into row blocks over wire v4 instead of farming whole
+// splits into row blocks across the workers instead of farming whole
 // s-points. The client-visible promises must hold unchanged — correct
 // curve, cache hit on repeat — with the shard telemetry surfacing in
 // the job's stats JSON.

@@ -43,7 +43,7 @@ type Config struct {
 	// backend; callers close the fleet themselves on shutdown.
 	Backend hydra.Backend
 	// Shard asks a fleet backend to split each solve across up to this
-	// many workers' row blocks (wire v4 sharding) instead of farming
+	// many workers' row blocks instead of farming
 	// whole s-points. Zero or one leaves solves unsharded; ignored by
 	// the in-process backend. See Options.Shard for the trade-off.
 	Shard int

@@ -179,7 +179,7 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 		"# TYPE hydra_fleet_workers_connected gauge",
 		"# TYPE hydra_solve_point_duration_seconds histogram",
 		`hydra_http_requests_total{route="POST /v1/models/{id}/passage",method="POST",code="200"}`,
-		"hydra_fleet_wire_protocol_version 4",
+		fmt.Sprintf("hydra_fleet_wire_protocol_version %d", pipeline.ProtocolVersion),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", want)

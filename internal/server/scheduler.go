@@ -38,7 +38,7 @@ type RunStatsJSON struct {
 	// runs (absent for the anonymous in-process pool).
 	PerWorker map[string]int `json:"per_worker,omitempty"`
 	// Shard telemetry, present only when the fleet split solves into
-	// row blocks (wire v4): how many workers held blocks, how many
+	// row blocks: how many workers held blocks, how many
 	// shard sessions were rebuilt after a member died, and the sweep /
 	// boundary-exchange volume across all sharded points.
 	Shards         int   `json:"shards,omitempty"`
