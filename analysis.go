@@ -223,7 +223,9 @@ func (m *Model) PassageCDF(sources, targets []int, times []float64, opts *Option
 }
 
 // TransientDistribution computes P(Z(t) ∈ targets | Z(0) ∼ sources) via
-// Eq. (7).
+// Eq. (7). Its transform is only defined for Re s > 0, so the inverter's
+// contour must stay there: Euler and Laguerre do, and Method "talbot" is
+// rejected before any solve.
 func (m *Model) TransientDistribution(sources, targets []int, times []float64, opts *Options) (*Result, error) {
 	return m.run(pipeline.TransientDist, sources, targets, times, opts)
 }

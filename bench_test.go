@@ -346,33 +346,6 @@ func BenchmarkLaplaceInversion(b *testing.B) {
 	}
 }
 
-// BenchmarkIntraPointParallelism measures the partition-parallel
-// Eq. (10) iteration against the serial kernel on one s-point — the §6
-// future-work direction (parallelising within a single enormous model
-// rather than across s-points).
-func BenchmarkIntraPointParallelism(b *testing.B) {
-	ss, err := voting.Build(voting.Config{CC: 60, MM: 25, NN: 4},
-		voting.DefaultDurations(), petri.ExploreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	targets := voting.VotedAtLeast(ss, 60)
-	src := passage.SingleSource(0)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			sv := passage.NewSolver(ss.Model, passage.Options{IntraPointWorkers: workers})
-			s := complex(0.05, 0.4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sv.IterativeLST(s, src, targets); err != nil {
-					b.Fatal(err)
-				}
-				s += 1e-9
-			}
-		})
-	}
-}
-
 // BenchmarkPartitionCutQuality reports the communication volume of BFS
 // versus random placement on the system-1 kernel — the quantity a
 // hypergraph partitioner would minimise for a distributed-memory

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -393,28 +394,22 @@ func TestTalbotThroughFacade(t *testing.T) {
 	}
 }
 
-func TestIntraPointWorkersThroughFacade(t *testing.T) {
-	m, err := hydra.VotingSystem(0)
+// TestTransientRejectsContourLeavingHalfPlane checks that the facade
+// refuses a transient request on fixed Talbot's contour, part of which
+// lies in Re s < 0 where the renewal series for T*(s) diverges, before
+// any solve — instead of returning NaN values.
+func TestTransientRejectsContourLeavingHalfPlane(t *testing.T) {
+	m, err := hydra.LoadSpec(quickSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := m.PlaceIndex("p2")
-	targets := m.States(func(mk hydra.Marking) bool { return mk[p2] >= 18 })
-	ts := []float64{20, 30}
-	serial, err := m.PassageDensity([]int{0}, targets, ts, nil)
-	if err != nil {
-		t.Fatal(err)
+	ts := []float64{0.5, 2}
+	_, err = m.TransientDistribution([]int{0}, []int{2}, ts, &hydra.Options{Method: "talbot"})
+	if err == nil || !strings.Contains(err.Error(), "Re s ≤ 0") {
+		t.Fatalf("talbot transient: err = %v, want a Re s ≤ 0 rejection", err)
 	}
-	par, err := m.PassageDensity([]int{0}, targets, ts, &hydra.Options{
-		Solver: passageOptionsIntra(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Values {
-		if math.Abs(serial.Values[i]-par.Values[i]) > 1e-12 {
-			t.Errorf("t=%v: serial %v vs intra-parallel %v", ts[i], serial.Values[i], par.Values[i])
-		}
+	if _, err := m.TransientDistribution([]int{0}, []int{2}, ts, nil); err != nil {
+		t.Errorf("euler transient on the same model: %v", err)
 	}
 }
 

@@ -107,9 +107,6 @@ func TestFig6LowProbabilityRegion(t *testing.T) {
 }
 
 func TestFig7ConvergesToSteadyState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("transient columns over 111 targets are slow; skipped with -short")
-	}
 	res, err := Fig7(FigOptions{System: 0, Points: 8})
 	if err != nil {
 		t.Fatal(err)

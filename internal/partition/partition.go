@@ -6,10 +6,9 @@
 //
 // Two complementary tools are provided:
 //
-//   - balanced row partitions of the kernel matrix, used by the
-//     intra-point parallel accumulator product (parallelising a single
-//     s-point evaluation across cores, in addition to the paper's
-//     across-s-point distribution), and
+//   - balanced row partitions of the kernel matrix, used to split one
+//     s-point's solve into row blocks held by different shard members,
+//     and
 //
 //   - communication-volume accounting (cut edges / boundary vertices)
 //     for a hypothetical distributed-memory decomposition, together with

@@ -221,44 +221,3 @@ func TestLocalityBeatsRandomPlacement(t *testing.T) {
 		t.Errorf("boundary vertices = %d", bv)
 	}
 }
-
-func TestParallelProductMatchesSerial(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 5 + r.Intn(60)
-		b := sparse.NewCBuilder(n, n)
-		for k := 0; k < 6*n; k++ {
-			b.Add(r.Intn(n), r.Intn(n), complex(r.NormFloat64(), r.NormFloat64()))
-		}
-		m := b.Build()
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.NormFloat64(), r.NormFloat64())
-		}
-		skip := make([]bool, n)
-		for i := range skip {
-			skip[i] = r.Intn(5) == 0
-		}
-		want := make([]complex128, n)
-		m.VecMulSkipRows(x, want, skip)
-
-		weights := make([]int, n)
-		for i := range weights {
-			weights[i] = m.RowNNZ(i) + 1
-		}
-		parts := 1 + r.Intn(4)
-		pp := NewParallelProduct(BalancedRows(weights, parts), n)
-		got := make([]complex128, n)
-		pp.VecMulSkipRows(m, x, got, skip)
-		for i := range got {
-			d := got[i] - want[i]
-			if real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

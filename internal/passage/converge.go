@@ -12,12 +12,13 @@ import "math"
 // tolerance instead of exactly.
 type convGauge struct {
 	opts  Options
+	eps   float64 // the bound: opts.Epsilon for passage, opts.GSEpsilon for transient
 	hits  int
 	prevM float64
 }
 
-func newConvGauge(opts Options) convGauge {
-	return convGauge{opts: opts, prevM: math.Inf(1)}
+func newConvGauge(opts Options, eps float64) convGauge {
+	return convGauge{opts: opts, eps: eps, prevM: math.Inf(1)}
 }
 
 // converged reports whether the iteration may stop after a sweep whose
@@ -27,7 +28,7 @@ func newConvGauge(opts Options) convGauge {
 func (g *convGauge) converged(m float64) bool {
 	switch g.opts.Criterion {
 	case PaperIncrement:
-		if m < g.opts.Epsilon {
+		if m < g.eps {
 			g.hits++
 			return g.hits >= g.opts.ConsecutiveHits
 		}
@@ -35,12 +36,12 @@ func (g *convGauge) converged(m float64) bool {
 		return false
 	default: // MassBound
 		ok := false
-		if m < g.opts.Epsilon {
+		if m < g.eps {
 			rho := 0.0
 			if g.prevM > 0 && !math.IsInf(g.prevM, 1) {
 				rho = m / g.prevM
 			}
-			ok = rho < 1 && m*rho/(1-rho) < g.opts.Epsilon
+			ok = rho < 1 && m*rho/(1-rho) < g.eps
 		}
 		g.prevM = m
 		return ok

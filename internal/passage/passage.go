@@ -4,6 +4,12 @@
 // the direct linear-system baseline of Eq. (2)–(3) and the transient
 // state distributions of Eq. (6)–(7).
 //
+// Both source-indexed quantities come out of one column-form driver (see
+// vector.go) solving z = b + A·z with A the kernel U(s): passage makes
+// the targets absorbing and closes with one product by U, transient
+// solves the Markov-renewal form of Eq. (6)–(7), which needs one column
+// per s-point however many target states there are.
+//
 // All quantities are computed one Laplace point s at a time: the caller
 // (in-process loop or distributed worker) owns the iteration over the
 // s-points demanded by the inverter in package lt.
@@ -16,7 +22,6 @@ import (
 	"time"
 
 	"hydra/internal/dtmc"
-	"hydra/internal/partition"
 	"hydra/internal/smp"
 	"hydra/internal/sparse"
 )
@@ -60,24 +65,20 @@ type Options struct {
 	// ConsecutiveHits is how many successive sub-Epsilon increments the
 	// PaperIncrement criterion requires (default 1, the paper's rule).
 	ConsecutiveHits int
-	// GSEpsilon is the Gauss–Seidel residual tolerance for the direct
-	// baseline and the transient solver (default 1e-10).
+	// GSEpsilon is the convergence bound of the direct Gauss–Seidel
+	// baseline and of the transient route (default 1e-10). T*(s) keeps
+	// the tighter bound it always had: the Euler sum that inverts it
+	// multiplies its error by up to e^{A/2}/2t, which at small t turns
+	// an Epsilon-sized error into visible curve error.
 	GSEpsilon float64
 	// GSMaxIter caps Gauss–Seidel sweeps (default 10000).
 	GSMaxIter int
-	// IntraPointWorkers parallelises each Eq. (10) iteration across a
-	// row partition of the kernel (default 1 = serial). This is
-	// orthogonal to the pipeline's across-s-point distribution and pays
-	// off when a single huge model has fewer pending s-points than
-	// cores; for small models the per-iteration synchronisation
-	// dominates.
-	IntraPointWorkers int
-	// WarmStart lets consecutive solves that share a target set seed
-	// each Gauss–Seidel iteration from the previous s-point's solution
+	// WarmStart lets consecutive solves that share a quantity and target
+	// set seed each iteration from the previous s-point's solution
 	// vector. On the smooth contour segments the inverters in package lt
 	// produce, neighbouring s-points have nearby solutions, so the warm
-	// iterate cuts sweep counts; correctness is unchanged because
-	// Gauss–Seidel converges to the same fixed point from any start.
+	// iterate cuts sweep counts; correctness is unchanged because the
+	// iteration converges to the same fixed point from any start.
 	// Off by default: warm-started answers agree with cold ones only to
 	// solver tolerance, and callers that pin bit-exact reproducibility
 	// across runs (or scatter non-adjacent s-points over one solver)
@@ -125,9 +126,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Solver evaluates passage-time and transient transforms for one model.
-// It owns reusable workspace buffers and is not safe for concurrent use;
-// create one per worker goroutine.
+// Solver evaluates passage-time and transient transforms for one model:
+// the column-form driver behind VectorLST and TransientVectorLST, the
+// row-form IterativeLST, and the direct baselines. It owns reusable
+// workspace buffers and is not safe for concurrent use; create one per
+// worker goroutine.
 type Solver struct {
 	m    *smp.Model
 	opts Options
@@ -138,25 +141,27 @@ type Solver struct {
 	targets []bool
 	filledS complex128
 	filled  bool
-	par     *partition.ParallelProduct
 
-	// Prepared per-target-set state (structure analysis, warm-start
-	// iterates) plus reusable solve workspaces, built once per spec and
-	// reused across every s-point of a contour segment. cur tracks the
-	// prepared entry matching the current target flags.
-	preps map[string]*prepared
-	cur   *prepared
-	lsts  []complex128 // interned-distribution LST table at filledS
-	soj   []complex128 // sojourn LSTs workspace (transient)
-	dirB  []complex128 // Eq. (2)/(3) right-hand side workspace
-	diag  []complex128 // kernel diagonal workspace
-	blkB  []complex128 // block multi-RHS right-hand side workspace
-	blkS  []complex128 // block per-row accumulator workspace
+	// Prepared per-(quantity, target set) state (warm-start iterates),
+	// built once per spec and reused across every s-point of a contour
+	// segment, plus reusable solve workspaces. cur tracks the prepared
+	// entry matching the current target flags; absorb flags the rows the
+	// column driver zeroes (the targets for passage, none for transient),
+	// tol is its convergence bound and rhs its right-hand side b.
+	preps  map[string]*prepared
+	cur    *prepared
+	absorb []bool
+	tol    float64
+	none   []bool       // all-false flags: transient absorbs no row
+	rhs    []complex128 // column driver's b, supported on the targets
+	lsts   []complex128 // interned-distribution LST table at filledS
+	dirB   []complex128 // Eq. (2)/(3) right-hand side workspace
+	diag   []complex128 // kernel diagonal workspace
 
 	// Phase instrumentation for the last call, read by the pipeline's
 	// observability layer. lastFill is zero when the kernel was
-	// memoised; lastSweeps counts Gauss–Seidel sweeps of the last
-	// direct/block solve.
+	// memoised; lastSweeps counts the kernel traversals of the last
+	// solve.
 	lastFill   time.Duration
 	lastSweeps int
 	lastWarm   bool
@@ -167,9 +172,10 @@ type Solver struct {
 // U(s) — zero when the memoised kernel was reused.
 func (sv *Solver) LastKernelFill() time.Duration { return sv.lastFill }
 
-// LastSweeps returns the Gauss–Seidel sweep count of the last direct
-// or block solve (zero for iterative solves, whose depth is returned
-// directly).
+// LastSweeps returns the depth of the last solve: Gauss–Seidel sweeps
+// for the direct route, series terms or refinement sweeps for the
+// column driver (VectorLST, IterativeVectorLST, TransientVectorLST).
+// Each unit is one traversal of the kernel.
 func (sv *Solver) LastSweeps() int { return sv.lastSweeps }
 
 // LastWarmStart reports whether the last solve was seeded from a
@@ -181,7 +187,7 @@ func (sv *Solver) LastWarmStart() (bool, int) { return sv.lastWarm, sv.lastSaved
 // NewSolver returns a solver for the model.
 func NewSolver(m *smp.Model, opts Options) *Solver {
 	n := m.N()
-	sv := &Solver{
+	return &Solver{
 		m:       m,
 		opts:    opts.withDefaults(),
 		u:       m.NewKernelMatrix(),
@@ -189,33 +195,15 @@ func NewSolver(m *smp.Model, opts Options) *Solver {
 		next:    make([]complex128, n),
 		targets: make([]bool, n),
 	}
-	if w := sv.opts.IntraPointWorkers; w > 1 {
-		weights := make([]int, n)
-		for i := 0; i < n; i++ {
-			weights[i] = sv.u.RowNNZ(i) + 1
-		}
-		sv.par = partition.NewParallelProduct(partition.BalancedRows(weights, w), n)
-	}
-	return sv
-}
-
-// mulSkip dispatches the accumulator product to the serial or
-// partition-parallel kernel.
-func (sv *Solver) mulSkip(x, y []complex128) {
-	if sv.par != nil {
-		sv.par.VecMulSkipRows(sv.u, x, y, sv.targets)
-		return
-	}
-	sv.u.VecMulSkipRows(x, y, sv.targets)
 }
 
 // Model returns the solver's model.
 func (sv *Solver) Model() *smp.Model { return sv.m }
 
-// prepare assembles U(s) (memoising the last s) and the target flags
-// (memoised per target set via the prepared cache, so a contour segment
-// re-analyses its spec's structure once, not per point).
-func (sv *Solver) prepare(s complex128, targets []int) error {
+// prepare assembles U(s) (memoising the last s) and the target flags,
+// and selects the prepared entry for (q, targets), so a contour segment
+// keeps its warm-start state across points.
+func (sv *Solver) prepare(s complex128, q quantity, targets []int) error {
 	if len(targets) == 0 {
 		return fmt.Errorf("passage: empty target set")
 	}
@@ -224,7 +212,7 @@ func (sv *Solver) prepare(s complex128, targets []int) error {
 			return fmt.Errorf("passage: target state %d outside model of %d states", t, sv.m.N())
 		}
 	}
-	if key := targetsKey(targets); sv.cur == nil || sv.cur.key != key {
+	if key := preparedKey(q, targets); sv.cur == nil || sv.cur.key != key {
 		for i := range sv.targets {
 			sv.targets[i] = false
 		}
@@ -232,6 +220,13 @@ func (sv *Solver) prepare(s complex128, targets []int) error {
 			sv.targets[t] = true
 		}
 		sv.cur = sv.preparedFor(key)
+	}
+	sv.absorb, sv.tol = sv.targets, sv.opts.Epsilon
+	if q == transientQ {
+		if sv.none == nil {
+			sv.none = make([]bool, sv.m.N())
+		}
+		sv.absorb, sv.tol = sv.none, sv.opts.GSEpsilon
 	}
 	sv.lastFill = 0
 	if !sv.filled || sv.filledS != s {
@@ -291,7 +286,7 @@ func (sv *Solver) IterativeLST(s complex128, src SourceWeights, targets []int) (
 	if err := src.validate(sv.m.N()); err != nil {
 		return 0, 0, err
 	}
-	if err := sv.prepare(s, targets); err != nil {
+	if err := sv.prepare(s, passageQ, targets); err != nil {
 		return 0, 0, err
 	}
 	// acc ← α̃U.
@@ -308,7 +303,7 @@ func (sv *Solver) IterativeLST(s complex128, src SourceWeights, targets []int) (
 	prevL1 := math.Inf(1)
 	for r := 1; r <= sv.opts.MaxR; r++ {
 		// acc ← acc·U′ without materialising U′ (target rows skipped).
-		sv.mulSkip(sv.acc, sv.next)
+		sv.u.VecMulSkipRows(sv.acc, sv.next, sv.targets)
 		sv.acc, sv.next = sv.next, sv.acc
 		inc := sv.dotTargets(sv.acc)
 		total += inc
@@ -366,11 +361,10 @@ func (sv *Solver) dotTargets(v []complex128) complex128 {
 //	x_i = Σ_{k∉j⃗} u_ik·x_k + Σ_{k∈j⃗} u_ik
 //
 // for the full vector x̃ = (L_1j⃗(s), …, L_Nj⃗(s)) by Gauss–Seidel sweeps.
-// This is the "typical matrix inversion" comparator of §3 and the
-// workhorse of the transient computation, which needs whole columns of
-// passage transforms at once.
+// This is the "typical matrix inversion" comparator of §3, and the
+// per-target column the Eq. (6)–(7) transient oracle is built from.
 func (sv *Solver) DirectVectorLST(s complex128, targets []int) ([]complex128, error) {
-	if err := sv.prepare(s, targets); err != nil {
+	if err := sv.prepare(s, passageQ, targets); err != nil {
 		return nil, err
 	}
 	return sv.directVectorSolve(s)
@@ -432,7 +426,7 @@ func (sv *Solver) directVectorSolve(s complex128) ([]complex128, error) {
 			x[i] = next
 		}
 		if worst < eps {
-			sv.noteWarm(warm, &p.dirCold)
+			sv.noteWarm(warm)
 			p.dirWarm = sv.opts.WarmStart
 			out := make([]complex128, n)
 			copy(out, x)
@@ -473,7 +467,7 @@ func (sv *Solver) DirectDenseLST(s complex128, src SourceWeights, targets []int)
 	if err := src.validate(sv.m.N()); err != nil {
 		return 0, err
 	}
-	if err := sv.prepare(s, targets); err != nil {
+	if err := sv.prepare(s, passageQ, targets); err != nil {
 		return 0, err
 	}
 	n := sv.m.N()

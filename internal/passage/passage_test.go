@@ -275,11 +275,11 @@ func TestTransientMatchesCTMCClosedForm(t *testing.T) {
 	pts := inv.Points(ts)
 	vals := make([]complex128, len(pts))
 	for i, s := range pts {
-		v, err := sv.TransientLST(s, SingleSource(0), []int{1})
+		v, err := sv.TransientVectorLST(s, []int{1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals[i] = v
+		vals[i] = v[0]
 	}
 	f, err := inv.Invert(ts, vals)
 	if err != nil {
@@ -299,21 +299,22 @@ func TestTransientMultiTargetAdditivity(t *testing.T) {
 	m := randomSMP(r, 7)
 	sv := NewSolver(m, Options{})
 	s := complex128(0.9 + 1.2i)
-	src := SingleSource(2)
-	both, err := sv.TransientLST(s, src, []int{4, 6})
+	both, err := sv.TransientVectorLST(s, []int{4, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t4, err := sv.TransientLST(s, src, []int{4})
+	t4, err := sv.TransientVectorLST(s, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t6, err := sv.TransientLST(s, src, []int{6})
+	t6, err := sv.TransientVectorLST(s, []int{6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmplx.Abs(both-(t4+t6)) > 1e-8 {
-		t.Errorf("T(4,6) = %v, want T(4)+T(6) = %v", both, t4+t6)
+	for i := range both {
+		if cmplx.Abs(both[i]-(t4[i]+t6[i])) > 1e-8 {
+			t.Errorf("source %d: T(4,6) = %v, want T(4)+T(6) = %v", i, both[i], t4[i]+t6[i])
+		}
 	}
 }
 
@@ -324,12 +325,14 @@ func TestTransientOfWholeStateSpaceIsOne(t *testing.T) {
 	sv := NewSolver(m, Options{})
 	s := complex128(0.6 + 0.8i)
 	all := []int{0, 1, 2, 3, 4, 5}
-	got, err := sv.TransientLST(s, SingleSource(3), all)
+	got, err := sv.TransientVectorLST(s, all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmplx.Abs(got-1/s) > 1e-7 {
-		t.Errorf("T*_S(s) = %v, want 1/s = %v", got, 1/s)
+	for i := range got {
+		if cmplx.Abs(got[i]-1/s) > 1e-7 {
+			t.Errorf("T*_%dS(s) = %v, want 1/s = %v", i, got[i], 1/s)
+		}
 	}
 }
 
@@ -364,8 +367,10 @@ func TestInputValidation(t *testing.T) {
 	if _, _, err := sv.IterativeLST(1, bad, []int{1}); err == nil {
 		t.Error("accepted weights not summing to 1")
 	}
-	if _, err := sv.TransientLST(0, SingleSource(0), []int{1}); err == nil {
-		t.Error("accepted s=0 transient")
+	for _, s := range []complex128{0, -0.5 + 2i, complex(math.NaN(), 0)} {
+		if _, err := sv.TransientVectorLST(s, []int{1}); err == nil {
+			t.Errorf("accepted transient at s=%v outside Re s > 0", s)
+		}
 	}
 	if _, err := ComputeSourceWeights(m, nil); err == nil {
 		t.Error("accepted empty source set")
@@ -449,26 +454,3 @@ func TestPaperIncrementWithHitsRecoversAccuracy(t *testing.T) {
 // newTestEuler provides the default inverter without importing lt into
 // the production code paths of this package's tests twice.
 func newTestEuler() lt.Euler { return lt.DefaultEuler() }
-
-func TestIntraPointParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	m := randomSMP(r, 40)
-	serial := NewSolver(m, Options{})
-	par := NewSolver(m, Options{IntraPointWorkers: 3})
-	for trial := 0; trial < 8; trial++ {
-		s := complex(0.2+r.Float64(), 3*(r.Float64()-0.5))
-		targets := []int{r.Intn(40), r.Intn(40)}
-		src := SingleSource(r.Intn(40))
-		a, ra, err := serial.IterativeLST(s, src, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, rb, err := par.IterativeLST(s, src, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cmplx.Abs(a-b) > 1e-12 || ra != rb {
-			t.Fatalf("trial %d: serial %v (r=%d) vs parallel %v (r=%d)", trial, a, ra, b, rb)
-		}
-	}
-}

@@ -10,30 +10,30 @@ import (
 // cache resets rather than grow without limit.
 const maxPrepared = 16
 
-// prepared holds everything a solver derives from a target set alone —
-// structure analysis and warm-start iterates — so a contour segment
-// builds it once per spec instead of once per s-point. Entries live in
-// Solver.preps keyed by the canonical target list.
+// quantity names the fixed point a prepared entry belongs to. It is
+// part of the prepared-cache key, so a passage accumulator can never
+// seed a transient solve over the same target set, or the reverse.
+type quantity byte
+
+const (
+	passageQ   quantity = 'L' // z = e⃗ + U′·z, closed by L = U·z
+	transientQ quantity = 'T' // z = g + U·z, the answer itself
+)
+
+// prepared holds the warm-start state of one (quantity, target set), so
+// a contour segment carries it from point to point. Entries live in
+// Solver.preps keyed by preparedKey.
 type prepared struct {
 	key string
 
-	// Block multi-RHS structure (transient solves): unique targets, the
-	// requested-index→column fan-out, and the state→column map. Built
-	// lazily by the first block solve over this target set.
-	uniq   []int
-	colFor []int
-	tgtCol []int
-
-	// Warm-start state. dirZ/dirZPrev are the last two converged
-	// accumulators of the Eq. (10) fixed point z = e⃗ + U′·z: with one
-	// the next point seeds from its neighbour (error O(h) in the contour
-	// step), with both it seeds from the linear extrapolation
-	// 2·z_k − z_{k−1} (error O(h²)), which is worth a few extra decades
-	// of head start at one vector combination. dirX is the last
-	// converged Gauss–Seidel iterate (the direct route's); blockX is the
-	// last block iterate (n×K). The *Cold fields record the depth of the
-	// segment's most recent cold solve, the baseline for sweeps-saved
-	// estimates.
+	// dirZ/dirZPrev/dirZPrev2 are the last three converged fixed points
+	// z of the column driver: with one the next point seeds from its
+	// neighbour (error O(h) in the contour step), with two or three it
+	// seeds from their linear or quadratic extrapolation (O(h²), O(h³)),
+	// which is worth a few extra decades of head start at one vector
+	// combination. dirX is the last converged Gauss–Seidel iterate (the
+	// direct route's). dirCold records the depth of the segment's most
+	// recent cold solve, the baseline for sweeps-saved estimates.
 	dirZ      []complex128
 	dirZPrev  []complex128
 	dirZPrev2 []complex128
@@ -43,15 +43,14 @@ type prepared struct {
 	dirX      []complex128
 	dirWarm   bool
 	dirCold   int
-	blockX    []complex128
-	blockWarm bool
-	blockCold int
 }
 
-// targetsKey canonically names a target list. Order matters for block
-// column fan-out, so the key preserves it.
-func targetsKey(targets []int) string {
+// preparedKey canonically names a (quantity, target list) pair. The
+// target order is kept as given: a permutation of one set only costs
+// its own cold start.
+func preparedKey(q quantity, targets []int) string {
 	var b strings.Builder
+	b.WriteByte(byte(q))
 	for i, t := range targets {
 		if i > 0 {
 			b.WriteByte(',')
@@ -62,7 +61,7 @@ func targetsKey(targets []int) string {
 }
 
 // preparedFor returns (creating if needed) the prepared entry for a
-// target-set key.
+// preparedKey.
 func (sv *Solver) preparedFor(key string) *prepared {
 	if sv.preps == nil {
 		sv.preps = make(map[string]*prepared)
@@ -78,17 +77,18 @@ func (sv *Solver) preparedFor(key string) *prepared {
 	return p
 }
 
-// noteWarm records the warm-start outcome of a converged solve: a cold
-// solve resets the baseline depth, a warm one charges its sweep count
-// against it.
-func (sv *Solver) noteWarm(warm bool, cold *int) {
+// noteWarm records the warm-start outcome of a converged solve of
+// depth sv.lastSweeps: a cold solve resets the prepared entry's baseline
+// depth, a warm one charges its sweep count against it.
+func (sv *Solver) noteWarm(warm bool) {
+	p := sv.cur
 	sv.lastWarm, sv.lastSaved = warm, 0
 	if warm {
-		if d := *cold - sv.lastSweeps; d > 0 {
+		if d := p.dirCold - sv.lastSweeps; d > 0 {
 			sv.lastSaved = d
 		}
 	} else {
-		*cold = sv.lastSweeps
+		p.dirCold = sv.lastSweeps
 	}
 }
 
@@ -99,30 +99,4 @@ func resizeC(v []complex128, n int) []complex128 {
 		return make([]complex128, n)
 	}
 	return v[:n]
-}
-
-// VectorLST computes the source-indexed passage vector L_·j⃗(s),
-// selecting the cheapest converging route: with WarmStart off (or on the
-// first point of a segment) it runs the Eq. (10) iterative series; once
-// an accumulator over the same target set exists it continues the same
-// fixed-point iteration from that neighbouring s-point's solution
-// (warmRefine), which typically converges in a fraction of the cold
-// depth on a smooth contour. The returned depth is the series depth or
-// the refinement sweep count, whichever route ran — both measure one
-// kernel traversal per unit. A warm solve that fails to converge falls
-// back to the cold series, so WarmStart never turns a solvable point
-// into an error.
-func (sv *Solver) VectorLST(s complex128, targets []int) ([]complex128, int, error) {
-	if sv.opts.WarmStart {
-		if err := sv.prepare(s, targets); err != nil {
-			return nil, 0, err
-		}
-		if p := sv.cur; p.zWarm && len(p.dirZ) == sv.m.N() {
-			if out, r, err := sv.warmRefine(s); err == nil {
-				return out, r, nil
-			}
-			// Non-convergence marks the seed stale; rerun cold below.
-		}
-	}
-	return sv.IterativeVectorLST(s, targets)
 }

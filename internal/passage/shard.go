@@ -17,11 +17,11 @@ import (
 // member (an in-process ShardSolver or a remote worker behind the fleet
 // wire), and the conductor drives lock-step sweeps in which members
 // exchange only boundary sub-vector entries. The arithmetic is arranged
-// so a sharded solve is bitwise identical to the monolithic
-// IterativeVectorLST / warmRefine pair: every row product traverses the
-// same CSR entries in the same order, the global increment norm is the
-// max over block norms, and the shared convGauge makes the stopping
-// decision at the same sweep.
+// so a sharded solve is bitwise identical to the monolithic passage
+// solve (the column driver's series / refine pair in vector.go): every
+// row product traverses the same CSR entries in the same order, the
+// global increment norm is the max over block norms, and the shared
+// convGauge makes the stopping decision at the same sweep.
 
 // ShardMember is one row block's side of the distributed sweep
 // protocol. The conductor calls, in order: HaloColumns and SetBoundary
@@ -499,7 +499,7 @@ func (sv *ShardSolver) Finish(halo []complex128) ([]complex128, error) {
 		}
 		own := sv.x[sv.lo:sv.hi]
 		// Non-target rows of U·z are z itself at the fixed point; only
-		// target rows need the real row product (see warmRefine).
+		// target rows need the real row product (see closePassage).
 		copy(out, own)
 		for i, isT := range sv.skip {
 			if !isT {

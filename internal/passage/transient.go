@@ -1,78 +1,40 @@
 package passage
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // TransientVectorLST computes the full source-indexed transient vector
-// T*_·j⃗(s) of Pyke's relations (Eq. 6–7):
+// T*_·j⃗(s), the transform of P(Z(t) ∈ j⃗ | Z(0) = i), in the
+// Markov-renewal form of Pyke's relations (Eq. 6–7):
 //
-//	T*_ij⃗(s) = (1/s)·[Λ_i·δ_{i∈j⃗} + Σ_{k∈j⃗, k≠i} Λ_k·L_ik(s)]
-//	Λ_n      = (1 − h*_n(s)) / (1 − L_nn(s))
+//	T*_ij⃗(s) = 1[i∈j⃗]·(1 − h*_i(s))/s + Σ_k u_ik(s)·T*_kj⃗(s)
 //
-// Every target state k contributes one passage column x^k_i = L_ik(s);
-// the block multi-RHS solve computes all |j⃗| columns in one batched
-// Gauss–Seidel sweep sequence over a single kernel refresh, and the
-// result vector answers any source weighting as a dot product.
+// that is, z = g + U·z with g supported on the targets. The column-form
+// driver solves it in one column however many target states there are,
+// warm-started from the neighbouring s-point like VectorLST, and sets
+// LastSweeps to its depth. The result vector answers any source
+// weighting as a dot product. The series converges only for Re s > 0,
+// so points outside that half-plane are rejected before any solve.
 func (sv *Solver) TransientVectorLST(s complex128, targets []int) ([]complex128, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("passage: empty target set")
+	if !(real(s) > 0) {
+		return nil, fmt.Errorf("passage: transient transform at s=%v needs Re s > 0, where the renewal series converges", s)
 	}
-	if s == 0 {
-		return nil, fmt.Errorf("passage: transient transform undefined at s=0")
+	if err := sv.prepare(s, transientQ, targets); err != nil {
+		return nil, err
 	}
-	cols, err := sv.DirectVectorLSTColumns(s, targets)
-	if err != nil {
-		return nil, fmt.Errorf("passage: transient columns for %d targets: %w", len(targets), err)
-	}
-	// The block solve's prepare just sampled the distribution table at
-	// this s, so the sojourn transforms come from the same sample
-	// without re-evaluating any distribution.
-	sv.soj = sv.m.SojournLSTsSampled(sv.lsts, sv.soj)
-	h := sv.soj
-	lambda := make([]complex128, len(targets))
-	for k, t := range targets {
-		den := 1 - cols[k][t]
-		if cmplx.Abs(den) < 1e-14 {
-			return nil, fmt.Errorf("passage: Λ_%d singular at s=%v (1−L_kk ≈ 0)", t, s)
-		}
-		lambda[k] = (1 - h[t]) / den
-	}
-
-	n := sv.m.N()
-	out := make([]complex128, n)
-	for k, t := range targets {
-		lk := lambda[k]
-		col := cols[k]
-		for i := 0; i < n; i++ {
-			if i == t {
-				out[i] += lk // the δ_{i∈j⃗} term
-			} else {
-				out[i] += lk * col[i]
-			}
+	// prepare just sampled the distribution table at this s, so the
+	// sojourn transforms come from the same sample without re-evaluating
+	// any distribution; g overwrites them in place.
+	sv.rhs = sv.m.SojournLSTsSampled(sv.lsts, sv.rhs)
+	for i, isT := range sv.targets {
+		if isT {
+			sv.rhs[i] = (1 - sv.rhs[i]) / s
+		} else {
+			sv.rhs[i] = 0
 		}
 	}
-	inv := 1 / s
-	for i := range out {
-		out[i] *= inv
-	}
-	return out, nil
-}
-
-// TransientLST is the α̃-weighted scalar read of TransientVectorLST:
-// T*_i⃗j⃗(s), the Laplace transform of P(Z(t) ∈ j⃗ | Z(0) ∼ α̃).
-func (sv *Solver) TransientLST(s complex128, src SourceWeights, targets []int) (complex128, error) {
-	if err := src.validate(sv.m.N()); err != nil {
-		return 0, err
-	}
-	vec, err := sv.TransientVectorLST(s, targets)
+	z, _, _, err := sv.fixedPoint(s)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("passage: transient over %d targets: %w", len(targets), err)
 	}
-	var total complex128
-	for idx, i := range src.States {
-		total += complex(src.Weights[idx], 0) * vec[i]
-	}
-	return total, nil
+	return append([]complex128(nil), z...), nil
 }

@@ -5,100 +5,166 @@ import (
 	"math"
 )
 
-// This file holds the vector-valued solve engine: every routine returns
-// results indexed by *source state*, so one kernel solve per (model,
-// targets, s) serves any number of source weightings as O(N) dot
-// products. The scalar entry points (IterativeLST, TransientLST) remain
-// as thin weighted reads.
+// This file holds the column-form driver behind every source-indexed
+// quantity. One run yields the transform for every source state at once,
+// so one solve per (model, quantity, targets, s) serves any number of
+// source weightings as O(N) dot products. Both quantities are the fixed
+// point of
+//
+//	z = b + A·z
+//
+// where A is U(s) with the rows flagged in sv.absorb zeroed and b
+// (sv.rhs) is supported on the target states j⃗:
+//
+//   - passage, the column form of Eq. (10): A = U′ (target rows
+//     absorbing), b = e⃗, and L_·j⃗(s) = U·z;
+//   - transient, the Markov-renewal form of Eq. (6)–(7): A = U (no row
+//     absorbs), b_k = (1 − h*_k(s))/s for k ∈ j⃗, and T*_·j⃗(s) = z.
+//
+// Every |A| row sum is at most h*_i(Re s) < 1 for Re(s) > 0, so the
+// Neumann series b + A·b + A²·b + … converges there, and the max norm of
+// its last increment bounds what the remaining terms can add — the role
+// the ℓ1 norm plays in the row iteration. One convGauge judges the cold
+// series and the warm refinement alike.
 
-// mulSkipCol dispatches the column-form accumulator product y = U′·x
-// (target rows zeroed) to the serial or partition-parallel kernel.
-func (sv *Solver) mulSkipCol(x, y []complex128) {
-	if sv.par != nil {
-		sv.par.MulVecSkipRows(sv.u, x, y, sv.targets)
-		return
+// VectorLST computes the source-indexed passage vector L_·j⃗(s). With
+// WarmStart off (or on the first point of a segment) it sums the Eq. (10)
+// series; once a converged fixed point over the same target set exists
+// it continues the iteration from that neighbouring s-point (refine),
+// which typically converges in a fraction of the cold depth on a smooth
+// contour. The returned depth is the series depth or the refinement
+// sweep count, whichever route ran — both measure one kernel traversal
+// per unit. A warm solve that fails to converge falls back to the cold
+// series, so WarmStart never turns a solvable point into an error.
+func (sv *Solver) VectorLST(s complex128, targets []int) ([]complex128, int, error) {
+	if err := sv.preparePassage(s, targets); err != nil {
+		return nil, 0, err
 	}
-	sv.u.MulVecSkipRows(x, y, sv.targets)
+	z, r, warm, err := sv.fixedPoint(s)
+	if err != nil {
+		return nil, r, err
+	}
+	return sv.closePassage(z, warm), r, nil
 }
 
-// IterativeVectorLST computes the full source-indexed passage vector
+// IterativeVectorLST computes the same vector by the cold series alone,
 //
 //	L_·j⃗(s) = (U + UU′ + UU′² + …)·e⃗
 //
-// by propagating the target-indicator column e⃗ backwards through U′ —
-// the column form of the Eq. (10) iteration. One run costs the same as
-// a single-source IterativeLST (one sparse product per transition
-// depth) yet yields L_ij⃗(s) for every source state i at once, which is
-// how the paper's algorithm serves all sources in one sweep over U(s).
-// It returns the vector and the transition depth r at which the
-// truncation criterion (see Convergence) was met.
+// propagating the target-indicator column e⃗ backwards through U′. One
+// run costs the same as a single-source IterativeLST (one sparse product
+// per transition depth) yet yields L_ij⃗(s) for every source state i at
+// once, which is how the paper's algorithm serves all sources in one
+// sweep over U(s). It returns the vector and the transition depth r at
+// which the truncation criterion (see Convergence) was met. With
+// WarmStart on, the converged sum still seeds the next VectorLST.
 func (sv *Solver) IterativeVectorLST(s complex128, targets []int) ([]complex128, int, error) {
-	if err := sv.prepare(s, targets); err != nil {
+	if err := sv.preparePassage(s, targets); err != nil {
 		return nil, 0, err
 	}
-	n := sv.m.N()
-	// c ← e⃗; z accumulates Σ_r U′^r·e⃗, so the answer is U·z.
-	z := make([]complex128, n)
-	for i := range sv.acc {
-		sv.acc[i] = 0
+	z, r, err := sv.series(s)
+	if err != nil {
+		return nil, r, err
 	}
+	return sv.closePassage(z, false), r, nil
+}
+
+// preparePassage selects the passage entry for targets at s and sets
+// b = e⃗.
+func (sv *Solver) preparePassage(s complex128, targets []int) error {
+	if err := sv.prepare(s, passageQ, targets); err != nil {
+		return err
+	}
+	sv.rhs = resizeC(sv.rhs, sv.m.N())
 	for i, isT := range sv.targets {
+		sv.rhs[i] = 0
 		if isT {
-			sv.acc[i] = 1
-			z[i] = 1
+			sv.rhs[i] = 1
 		}
 	}
-	finish := func(r int) ([]complex128, int, error) {
-		out := make([]complex128, n)
+	return nil
+}
+
+// closePassage returns L = U·z in a fresh vector. A refined z satisfies
+// z = e⃗ + U′·z to the certified tail bound, and U′ differs from U only
+// in the zeroed target rows, so the non-target rows of U·z are z itself
+// and only the target rows need a real row product — which drops the
+// closing full-kernel traversal. A cold series sum stops one increment
+// short of that identity, so it takes the full product.
+func (sv *Solver) closePassage(z []complex128, warm bool) []complex128 {
+	out := make([]complex128, len(z))
+	if !warm {
 		sv.u.MulVec(z, out)
-		sv.lastWarm, sv.lastSaved = false, 0
-		if sv.opts.WarmStart {
-			// The converged accumulator satisfies the fixed point
-			// z = e⃗ + U′·z, so the neighbouring s-point can continue the
-			// same iteration from it (warmRefine); the depth is the
-			// segment's cold baseline.
-			p := sv.cur
-			p.dirZ = append(p.dirZ[:0], z...)
-			p.zWarm = true
-			p.zPrev, p.zPrev2 = false, false // a cold restart orphans the extrapolation history
-			p.dirCold = r
-		}
-		return out, r, nil
+		return out
 	}
-	// The increment to any L_i at depth r is (U·c_r)_i, bounded by
-	// ‖c_r‖∞ since every |U| row sum is below 1 for Re(s) > 0 — so the
-	// max norm plays the role the ℓ1 norm plays in the row iteration.
-	gauge := newConvGauge(sv.opts)
+	copy(out, z)
+	for i, isT := range sv.targets {
+		if !isT {
+			continue
+		}
+		cols, vals := sv.u.RowSlices(i)
+		var sum complex128
+		for e, k := range cols {
+			sum += vals[e] * z[k]
+		}
+		out[i] = sum
+	}
+	return out
+}
+
+// fixedPoint solves the current entry's z = b + A·z at s: continued from
+// the neighbouring s-point's solution when WarmStart is on and one
+// exists, otherwise — or when that refinement stalls — by the cold
+// series. It returns z (possibly a solver workspace, valid until the
+// next solve), the depth, and whether the warm route produced it.
+func (sv *Solver) fixedPoint(s complex128) ([]complex128, int, bool, error) {
+	if p := sv.cur; sv.opts.WarmStart && p.zWarm && len(p.dirZ) == sv.m.N() {
+		if z, r, err := sv.refine(s); err == nil {
+			return z, r, true, nil
+		}
+		// Non-convergence marks the seed stale; rerun cold below.
+	}
+	z, r, err := sv.series(s)
+	return z, r, false, err
+}
+
+// series sums z = b + A·b + A²·b + … until the gauge certifies the
+// tail, one kernel traversal per term.
+func (sv *Solver) series(s complex128) ([]complex128, int, error) {
+	z := append([]complex128(nil), sv.rhs...)
+	copy(sv.acc, sv.rhs)
+	gauge := newConvGauge(sv.opts, sv.tol)
 	for r := 1; r <= sv.opts.MaxR; r++ {
-		sv.mulSkipCol(sv.acc, sv.next)
+		sv.u.MulVecSkipRows(sv.acc, sv.next, sv.absorb)
 		sv.acc, sv.next = sv.next, sv.acc
 		for i := range z {
 			z[i] += sv.acc[i]
 		}
 		if gauge.converged(maxNorm(sv.acc)) {
-			return finish(r)
+			sv.settle(z, r, false)
+			return z, r, nil
 		}
 	}
 	return nil, sv.opts.MaxR, fmt.Errorf("%w: %d transitions at s=%v (remaining mass %g)",
 		ErrNoConvergence, sv.opts.MaxR, s, maxNorm(sv.acc))
 }
 
-// warmRefine continues the Eq. (10) fixed point z = e⃗ + U′·z from the
-// neighbouring s-point's converged accumulator — or, once two
-// neighbours exist, from their linear extrapolation, whose O(h²) seed
-// error buys several extra contraction decades of head start. Each
-// sweep costs exactly one mulSkipCol — the same kernel traversal as one
-// series term — so on a smooth contour the refinement replaces a full
-// depth-r series with a fraction of the sweeps. The same geometric tail
-// bound as the cold loop certifies the result: ρ(U′) < 1 for
-// Re(s) > 0, so ‖z* − z_r‖∞ ≤ m·ρ/(1−ρ) with m the last increment.
-func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
+// refine continues the iteration x ← b + A·x from the neighbouring
+// s-point's converged z — or, once two or three neighbours exist, from
+// their linear or quadratic extrapolation, whose smaller seed error buys
+// several extra contraction decades of head start. Each sweep costs one
+// kernel traversal, the same as one series term, so on a smooth contour
+// the refinement replaces a full depth-r series with a fraction of the
+// sweeps. The same geometric tail bound as the cold series certifies
+// the result: ρ(A) < 1 for Re(s) > 0, so ‖z* − x_r‖∞ ≤ m·ρ/(1−ρ) with m
+// the last change.
+func (sv *Solver) refine(s complex128) ([]complex128, int, error) {
 	p := sv.cur
 	n := sv.m.N()
 	x, y := sv.acc, sv.next
 	switch {
 	case p.zPrev2 && len(p.dirZPrev2) == n:
-		// Quadratic extrapolation through the last three accumulators.
+		// Quadratic extrapolation through the last three fixed points.
 		for i := range x {
 			x[i] = 3*(p.dirZ[i]-p.dirZPrev[i]) + p.dirZPrev2[i]
 		}
@@ -109,13 +175,12 @@ func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
 	default:
 		copy(x, p.dirZ)
 	}
-	gauge := newConvGauge(sv.opts)
+	gauge := newConvGauge(sv.opts, sv.tol)
 	for r := 1; r <= sv.opts.MaxR; r++ {
-		sv.lastSweeps = r
-		sv.mulSkipCol(x, y) // y = U′·x; target rows come back zeroed
+		sv.u.MulVecSkipRows(x, y, sv.absorb)
 		for i, isT := range sv.targets {
 			if isT {
-				y[i] = 1
+				y[i] += sv.rhs[i]
 			}
 		}
 		var m float64
@@ -128,30 +193,8 @@ func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
 		x, y = y, x
 		if gauge.converged(m) {
 			sv.acc, sv.next = x, y
-			// out = U·z, but at the fixed point U′·z = z − e⃗, and U′
-			// differs from U only in the zeroed target rows — so the
-			// non-target rows of the answer are z itself (within the
-			// certified tail bound) and only the target rows need a real
-			// row product. That drops the closing full-kernel traversal.
-			out := make([]complex128, n)
-			copy(out, x)
-			for i, isT := range sv.targets {
-				if !isT {
-					continue
-				}
-				cols, vals := sv.u.RowSlices(i)
-				var sum complex128
-				for e, k := range cols {
-					sum += vals[e] * x[k]
-				}
-				out[i] = sum
-			}
-			sv.noteWarm(true, &p.dirCold)
-			p.dirZPrev2, p.dirZPrev, p.dirZ =
-				p.dirZPrev, p.dirZ, append(p.dirZPrev2[:0], x...)
-			p.zPrev2 = p.zPrev
-			p.zPrev = true
-			return out, r, nil
+			sv.settle(x, r, true)
+			return x, r, nil
 		}
 	}
 	sv.acc, sv.next = x, y
@@ -159,6 +202,29 @@ func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
 	sv.lastWarm, sv.lastSaved = false, 0
 	return nil, sv.opts.MaxR, fmt.Errorf("%w: warm refinement after %d sweeps at s=%v",
 		ErrNoConvergence, sv.opts.MaxR, s)
+}
+
+// settle records a converged fixed point z of depth r on the current
+// entry: the depth for LastSweeps and the sweeps-saved accounting, and —
+// with WarmStart on — z as the next point's seed. A cold solve restarts
+// the extrapolation history; a warm one extends it.
+func (sv *Solver) settle(z []complex128, r int, warm bool) {
+	sv.lastSweeps = r
+	sv.noteWarm(warm)
+	if !sv.opts.WarmStart {
+		return
+	}
+	p := sv.cur
+	if warm {
+		p.dirZPrev2, p.dirZPrev, p.dirZ =
+			p.dirZPrev, p.dirZ, append(p.dirZPrev2[:0], z...)
+		p.zPrev2 = p.zPrev
+		p.zPrev = true
+		return
+	}
+	p.dirZ = append(p.dirZ[:0], z...)
+	p.zWarm = true
+	p.zPrev, p.zPrev2 = false, false
 }
 
 // maxNorm returns max_i |v_i|.
@@ -170,134 +236,4 @@ func maxNorm(v []complex128) float64 {
 		}
 	}
 	return m
-}
-
-// DirectVectorLSTColumns solves the K = len(targets) independent
-// single-target systems
-//
-//	x^k_i = Σ_{m ≠ t_k} u_im·x^k_m + u_{i,t_k}
-//
-// as one block multi-RHS Gauss–Seidel iteration: every sweep traverses
-// the CSR kernel once and updates all K columns from each stored entry,
-// so the |j⃗| per-target solves the transient computation needs cost one
-// batched sweep sequence over a single kernel refresh instead of |j⃗|
-// independent passes. Column k of the result is the passage column
-// x^k_i = L_i,t_k(s), with the cycle transform L_kk(s) on its diagonal.
-func (sv *Solver) DirectVectorLSTColumns(s complex128, targets []int) ([][]complex128, error) {
-	if err := sv.prepare(s, targets); err != nil {
-		return nil, err
-	}
-	p := sv.cur
-	n := sv.m.N()
-	if p.uniq == nil {
-		// Deduplicate: a state that appears twice names the identical
-		// system, so solve unique targets and fan the columns back out.
-		// This structure depends only on the target set, so the prepared
-		// entry carries it across the whole contour segment.
-		p.uniq = make([]int, 0, len(targets))
-		p.colFor = make([]int, len(targets)) // requested index → unique column
-		p.tgtCol = make([]int, n)            // state → unique column, -1 otherwise
-		for i := range p.tgtCol {
-			p.tgtCol[i] = -1
-		}
-		for k, t := range targets {
-			if p.tgtCol[t] < 0 {
-				p.tgtCol[t] = len(p.uniq)
-				p.uniq = append(p.uniq, t)
-			}
-			p.colFor[k] = p.tgtCol[t]
-		}
-	}
-	uniq, colFor, tgtCol := p.uniq, p.colFor, p.tgtCol
-	K := len(uniq)
-
-	// b[i*K+k] = u_{i,t_k}; diag[i] = u_ii (excluded from column k's
-	// denominator only when i == t_k, where it lives in b instead).
-	sv.blkB = resizeC(sv.blkB, n*K)
-	sv.diag = resizeC(sv.diag, n)
-	b, diag := sv.blkB, sv.diag
-	for i := range b {
-		b[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		diag[i] = 0
-		cols, vals := sv.u.RowSlices(i)
-		for e, m := range cols {
-			if k := tgtCol[m]; k >= 0 {
-				b[i*K+k] += vals[e]
-			}
-			if m == i {
-				diag[i] = vals[e]
-			}
-		}
-	}
-	warm := sv.opts.WarmStart && p.blockWarm && len(p.blockX) == n*K
-	if !warm {
-		p.blockX = resizeC(p.blockX, n*K)
-		copy(p.blockX, b) // first Jacobi step as cold start
-	}
-	x := p.blockX
-	sv.blkS = resizeC(sv.blkS, K)
-	sum := sv.blkS
-	for iter := 0; iter < sv.opts.GSMaxIter; iter++ {
-		sv.lastSweeps = iter + 1
-		var worst float64
-		for i := 0; i < n; i++ {
-			copy(sum, b[i*K:(i+1)*K])
-			cols, vals := sv.u.RowSlices(i)
-			for e, m := range cols {
-				if m == i {
-					continue // diagonal: in the denominator (or in b when i = t_k)
-				}
-				v := vals[e]
-				xm := x[m*K : (m+1)*K]
-				for k := range sum {
-					sum[k] += v * xm[k]
-				}
-				if k := tgtCol[m]; k >= 0 {
-					// m is target t_k: its coefficient belongs to b for
-					// column k, not the iterate.
-					sum[k] -= v * xm[k]
-				}
-			}
-			xi := x[i*K : (i+1)*K]
-			for k := range sum {
-				den := 1 - diag[i]
-				if uniq[k] == i {
-					den = 1
-				}
-				next := sum[k] / den
-				if d := next - xi[k]; math.Hypot(real(d), imag(d)) > worst {
-					worst = math.Hypot(real(d), imag(d))
-				}
-				xi[k] = next
-			}
-		}
-		if worst < sv.opts.GSEpsilon {
-			sv.noteWarm(warm, &p.blockCold)
-			p.blockWarm = sv.opts.WarmStart
-			cols := make([][]complex128, K)
-			for k := range cols {
-				col := make([]complex128, n)
-				for i := 0; i < n; i++ {
-					col[i] = x[i*K+k]
-				}
-				cols[k] = col
-			}
-			out := make([][]complex128, len(targets))
-			for k, u := range colFor {
-				out[k] = cols[u]
-			}
-			return out, nil
-		}
-	}
-	p.blockWarm = false
-	sv.lastWarm, sv.lastSaved = false, 0
-	if warm {
-		// A stale warm iterate can stall the sweep budget; retry once
-		// from the cold seed before reporting non-convergence.
-		return sv.DirectVectorLSTColumns(s, targets)
-	}
-	return nil, fmt.Errorf("%w: block Gauss–Seidel (%d columns) after %d sweeps at s=%v",
-		ErrNoConvergence, K, sv.opts.GSMaxIter, s)
 }

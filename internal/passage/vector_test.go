@@ -73,134 +73,3 @@ func TestIterativeVectorPaperIncrementCriterion(t *testing.T) {
 		}
 	}
 }
-
-// TestBlockColumnsMatchPerTargetSolves checks the block multi-RHS
-// Gauss–Seidel sweep against the existing per-target DirectVectorLST
-// loop it replaces: each column of the block solve must equal the
-// single-target full-vector solve for that target.
-func TestBlockColumnsMatchPerTargetSolves(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + r.Intn(12)
-		m := randomSMP(r, n)
-		sv := NewSolver(m, Options{})
-		nT := 1 + r.Intn(4)
-		targets := make([]int, 0, nT)
-		seen := map[int]bool{}
-		for len(targets) < nT {
-			k := r.Intn(n)
-			if !seen[k] {
-				seen[k] = true
-				targets = append(targets, k)
-			}
-		}
-		s := complex(0.2+2*r.Float64(), 3*(r.Float64()-0.5))
-		cols, err := sv.DirectVectorLSTColumns(s, targets)
-		if err != nil {
-			t.Fatalf("trial %d: block: %v", trial, err)
-		}
-		if len(cols) != len(targets) {
-			t.Fatalf("trial %d: %d columns for %d targets", trial, len(cols), len(targets))
-		}
-		for k, tgt := range targets {
-			ref, err := sv.DirectVectorLST(s, []int{tgt})
-			if err != nil {
-				t.Fatalf("trial %d target %d: reference: %v", trial, tgt, err)
-			}
-			for i := 0; i < n; i++ {
-				if cmplx.Abs(cols[k][i]-ref[i]) > 1e-7 {
-					t.Errorf("trial %d: column %d row %d: block %v vs loop %v",
-						trial, k, i, cols[k][i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-// TestTransientVectorMatchesPerTargetLoop re-derives the transient
-// transform the way the scalar engine did — one DirectVectorLST per
-// target state, Pyke's relations applied per source — and checks the
-// block-solve TransientVectorLST agrees for every source state.
-func TestTransientVectorMatchesPerTargetLoop(t *testing.T) {
-	r := rand.New(rand.NewSource(85))
-	for trial := 0; trial < 15; trial++ {
-		n := 3 + r.Intn(10)
-		m := randomSMP(r, n)
-		sv := NewSolver(m, Options{})
-		nT := 1 + r.Intn(3)
-		targets := make([]int, 0, nT)
-		seen := map[int]bool{}
-		for len(targets) < nT {
-			k := r.Intn(n)
-			if !seen[k] {
-				seen[k] = true
-				targets = append(targets, k)
-			}
-		}
-		s := complex(0.3+1.5*r.Float64(), 2*(r.Float64()-0.5))
-
-		got, err := sv.TransientVectorLST(s, targets)
-		if err != nil {
-			t.Fatalf("trial %d: vector transient: %v", trial, err)
-		}
-
-		// The scalar engine's shape: per-target singleton solves, then
-		// Eq. (6)-(7) assembled per source state.
-		h := m.SojournLSTs(s)
-		lambda := make(map[int]complex128, len(targets))
-		colOf := make(map[int][]complex128, len(targets))
-		for _, k := range targets {
-			x, err := sv.DirectVectorLST(s, []int{k})
-			if err != nil {
-				t.Fatalf("trial %d: reference column %d: %v", trial, k, err)
-			}
-			colOf[k] = x
-			lambda[k] = (1 - h[k]) / (1 - x[k])
-		}
-		inTarget := make(map[int]bool, len(targets))
-		for _, k := range targets {
-			inTarget[k] = true
-		}
-		for i := 0; i < n; i++ {
-			var want complex128
-			if inTarget[i] {
-				want += lambda[i]
-			}
-			for _, k := range targets {
-				if k != i {
-					want += lambda[k] * colOf[k][i]
-				}
-			}
-			want /= s
-			if cmplx.Abs(got[i]-want) > 1e-7 {
-				t.Errorf("trial %d: T*_%d = %v (block) vs %v (per-target loop)",
-					trial, i, got[i], want)
-			}
-		}
-	}
-}
-
-// TestIterativeVectorIntraPointWorkers exercises the partition-parallel
-// column product: the parallel and serial engines must agree exactly on
-// the same model.
-func TestIterativeVectorIntraPointWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(59))
-	m := randomSMP(r, 24)
-	serial := NewSolver(m, Options{})
-	parallel := NewSolver(m, Options{IntraPointWorkers: 4})
-	s := complex128(0.4 + 0.8i)
-	targets := []int{3, 11}
-	a, _, err := serial.IterativeVectorLST(s, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := parallel.IterativeVectorLST(s, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if cmplx.Abs(a[i]-b[i]) > 1e-12 {
-			t.Errorf("state %d: serial %v vs parallel %v", i, a[i], b[i])
-		}
-	}
-}

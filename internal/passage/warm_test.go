@@ -99,31 +99,3 @@ func TestWarmStartSeparatesTargetSets(t *testing.T) {
 		}
 	}
 }
-
-// Block solves (transient distributions) carry their own warm state
-// through DirectVectorLSTColumns; verify against a cold solver.
-func TestWarmStartBlockColumnsMatchCold(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	m := randomSMP(r, 7)
-	warm := NewSolver(m, Options{WarmStart: true})
-	cold := NewSolver(m, Options{})
-	targets := []int{0, 4}
-	for _, s := range contour(0.9, 8) {
-		want, err := cold.DirectVectorLSTColumns(s, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.DirectVectorLSTColumns(s, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range want {
-			for i := range want[c] {
-				if d := cmplx.Abs(got[c][i] - want[c][i]); d > 1e-8 {
-					t.Fatalf("s=%v column %d state %d: warm block %v vs cold %v (diff %g)",
-						s, c, i, got[c][i], want[c][i], d)
-				}
-			}
-		}
-	}
-}

@@ -112,7 +112,9 @@ type SolveSpec struct {
 	ShardHint int
 }
 
-// Validate performs structural checks against a model size.
+// Validate performs structural checks against a model size. A transient
+// spec must also keep every s-point in Re s > 0: the renewal series
+// behind T*(s) diverges elsewhere, which fixed Talbot contours reach.
 func (sp *SolveSpec) Validate(n int) error {
 	if len(sp.Targets) == 0 {
 		return fmt.Errorf("pipeline: empty target set")
@@ -124,6 +126,13 @@ func (sp *SolveSpec) Validate(n int) error {
 	}
 	if len(sp.Points) == 0 {
 		return fmt.Errorf("pipeline: no s-points")
+	}
+	if sp.Quantity == TransientDist {
+		for i, s := range sp.Points {
+			if !(real(s) > 0) {
+				return fmt.Errorf("pipeline: transient s-point %d (%v) has Re s ≤ 0, where the renewal series for T*(s) diverges; use an inverter whose contour stays in Re s > 0 (euler or laguerre)", i, s)
+			}
+		}
 	}
 	return nil
 }

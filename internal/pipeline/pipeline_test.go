@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"hydra/internal/dist"
@@ -50,8 +51,10 @@ func TestRunMatchesClosedFormEndToEnd(t *testing.T) {
 	if err := job.Validate(m.N()); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	answered := make(map[complex128]int, len(job.Points))
 	vecs, stats, err := Run(job.Spec(), func() Evaluator {
-		return NewSolverEvaluator(m, passage.Options{})
+		return countingEvaluator{NewSolverEvaluator(m, passage.Options{}), &mu, answered}
 	}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,17 +72,38 @@ func TestRunMatchesClosedFormEndToEnd(t *testing.T) {
 			t.Errorf("f(%v) = %v, want %v", tt, f[i], want)
 		}
 	}
-	// Work distribution: all three workers took part (work queue, not
-	// pre-partitioning).
-	var busy int
-	for _, n := range stats.PerWorker {
-		if n > 0 {
-			busy++
+	// Work distribution: the queue promises each point is answered by
+	// exactly one worker and every evaluation is credited to one — not
+	// that every worker gets work, which depends on scheduling.
+	for _, s := range job.Points {
+		if answered[s] != 1 {
+			t.Errorf("s-point %v answered %d times, want 1", s, answered[s])
 		}
 	}
-	if busy < 2 {
-		t.Errorf("only %d workers participated: %v", busy, stats.PerWorker)
+	var credited int
+	for _, n := range stats.PerWorker {
+		credited += n
 	}
+	if credited != stats.Evaluated {
+		t.Errorf("per-worker tallies %v sum to %d, want Evaluated %d", stats.PerWorker, credited, stats.Evaluated)
+	}
+	if stats.Requeued != 0 {
+		t.Errorf("requeued %d points in an in-process run", stats.Requeued)
+	}
+}
+
+// countingEvaluator tallies every s-point it answers into a shared map.
+type countingEvaluator struct {
+	Evaluator
+	mu       *sync.Mutex
+	answered map[complex128]int
+}
+
+func (c countingEvaluator) EvaluateVector(s complex128, spec *SolveSpec) ([]complex128, error) {
+	c.mu.Lock()
+	c.answered[s]++
+	c.mu.Unlock()
+	return c.Evaluator.EvaluateVector(s, spec)
 }
 
 func TestCheckpointRestartComputesNothing(t *testing.T) {
@@ -253,6 +277,17 @@ func TestJobValidate(t *testing.T) {
 	if bad.Validate(m.N()) == nil {
 		t.Error("no points accepted")
 	}
+	// The transient renewal series needs Re s > 0 at every point; passage
+	// specs are not restricted.
+	bad = *job
+	bad.Points = append([]complex128{1 + 1i, -0.5 + 3i}, job.Points...)
+	if err := bad.Validate(m.N()); err != nil {
+		t.Errorf("passage spec with a Re s < 0 point rejected: %v", err)
+	}
+	bad.Quantity = TransientDist
+	if err := bad.Validate(m.N()); err == nil || !strings.Contains(err.Error(), "s-point 1") {
+		t.Errorf("transient spec with a Re s < 0 point: err = %v, want it to name s-point 1", err)
+	}
 }
 
 func TestQuantityEvaluatorsAgreeWithSolver(t *testing.T) {
@@ -277,7 +312,11 @@ func TestQuantityEvaluatorsAgreeWithSolver(t *testing.T) {
 			want, _, err = sv.IterativeLST(s, src, []int{2})
 			want /= s
 		case TransientDist:
-			want, err = sv.TransientLST(s, src, []int{2})
+			var vec []complex128
+			vec, err = sv.TransientVectorLST(s, []int{2})
+			if err == nil {
+				want = vec[src.States[0]]
+			}
 		}
 		if err != nil {
 			t.Fatalf("%v solver: %v", q, err)

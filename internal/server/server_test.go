@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -276,6 +277,29 @@ func TestTransientEndpoint(t *testing.T) {
 	// P(state 1) = (1/7)/(1/2+1/7) = 2/9; by t=8 the transient is there.
 	if got, want := rec.Result.Values[len(rec.Result.Values)-1], 2.0/9; math.Abs(got-want) > 0.01 {
 		t.Errorf("P(Z(8)=1) = %v, want ≈ %v", got, want)
+	}
+}
+
+// TestTransientEndpointRejectsTalbot checks that a transient request
+// whose inverter contour leaves Re s > 0 is a 400 naming the offending
+// point, not a 200 with NaN values: fixed Talbot contours dip into the
+// left half-plane, where the renewal series for T*(s) diverges.
+func TestTransientEndpointRejectsTalbot(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	info := uploadSpec(t, ts.URL, "hop", twoStateSpec)
+	url := fmt.Sprintf("%s/v1/models/%s/transient", ts.URL, info.ID)
+	var rec JobRecord
+	code := doJSON(t, "POST", url, map[string]any{
+		"sources": []int{0}, "targets": []int{1}, "times": []float64{2, 8}, "method": "talbot",
+	}, &rec)
+	if code != http.StatusBadRequest {
+		t.Fatalf("talbot transient request returned %d, want 400: %+v", code, rec)
+	}
+	if !strings.Contains(rec.Error, "Re s ≤ 0") || !strings.Contains(rec.Error, "s-point") {
+		t.Errorf("error %q does not name the point and the reason", rec.Error)
+	}
+	if n := srv.Scheduler().Stats().ComputedPoints; n != 0 {
+		t.Errorf("rejected request computed %d points", n)
 	}
 }
 

@@ -124,9 +124,9 @@ func (m *CMatrix) MulVecSkipRowsRange(x, y []complex128, skip []bool, lo, hi int
 }
 
 // RowSlices returns the column-index and value slices of row i, sharing
-// the matrix's backing arrays. It exists for tight multi-RHS loops (the
-// block Gauss–Seidel sweep) that would otherwise pay a closure call per
-// stored entry.
+// the matrix's backing arrays. It exists for tight per-row loops (the
+// Gauss–Seidel sweep, single-row products) that would otherwise pay a
+// closure call per stored entry.
 func (m *CMatrix) RowSlices(i int) (cols []int, vals []complex128) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colIdx[lo:hi], m.val[lo:hi]

@@ -167,11 +167,11 @@ func TestCrossValidatesLaplacePipeline(t *testing.T) {
 
 	// Transient cross-check.
 	for i, s := range pts {
-		v, err := sv.TransientLST(s, passage.SingleSource(0), targets)
+		v, err := sv.TransientVectorLST(s, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals[i] = v
+		vals[i] = v[0]
 	}
 	trLap, err := inv.Invert(ts, vals)
 	if err != nil {
