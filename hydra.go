@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"sync"
 
 	"hydra/internal/dnamaca"
 	"hydra/internal/dtmc"
@@ -41,7 +42,12 @@ type Model struct {
 	fingerprint   string            // content-derived identity (see Fingerprint)
 	measures      []Measure
 	stateMeasures []StateMeasure
-	pi            []float64 // lazily computed embedded-chain steady state
+
+	// piMu guards pi, the lazily computed embedded-chain steady state.
+	// It is held across the solve, so concurrent first callers wait for
+	// one solve instead of each running their own.
+	piMu sync.Mutex
+	pi   []float64
 }
 
 // SpecFingerprint derives a model fingerprint from DNAmaca source text.
@@ -209,8 +215,10 @@ func (m *Model) PlaceIndex(name string) int { return m.ss.Net.PlaceIndex(name) }
 func (m *Model) Measures() []Measure { return m.measures }
 
 // steadyState lazily computes and caches the embedded chain's stationary
-// vector.
+// vector. It is safe for concurrent use.
 func (m *Model) steadyState() ([]float64, error) {
+	m.piMu.Lock()
+	defer m.piMu.Unlock()
 	if m.pi != nil {
 		return m.pi, nil
 	}

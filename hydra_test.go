@@ -5,6 +5,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -484,5 +485,45 @@ func TestStateMeasureThroughFacade(t *testing.T) {
 	want := 0.2 / 1.7
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("P(stage1>0) = %v, want %v", got, want)
+	}
+}
+
+// TestSourceWeightsConcurrentFirstCallers is the server's access pattern:
+// request handlers resolving source weights on a fresh model at once.
+// The lazily cached steady state must be solved once and seen whole by
+// every caller (run under -race).
+func TestSourceWeightsConcurrentFirstCallers(t *testing.T) {
+	m, err := hydra.VotingSystem(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, m.NumStates())
+	for i := range all {
+		all[i] = i
+	}
+	const callers = 4
+	pis := make([][]float64, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, errs[g] = m.SourceWeights([]int{0, 1}); errs[g] != nil {
+				return
+			}
+			_, pis[g], errs[g] = m.SourceWeights(all)
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < callers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		for i := range pis[0] {
+			if pis[g][i] != pis[0][i] {
+				t.Fatalf("caller %d sees π[%d] = %v, caller 0 sees %v", g, i, pis[g][i], pis[0][i])
+			}
+		}
 	}
 }

@@ -158,10 +158,26 @@ func NewErlang(rate float64, k int) Erlang {
 	return Erlang{Rate: rate, K: k}
 }
 
+// erlangPhaseLoop is the phase count up to which Erlang works phase by
+// phase: its LST multiplies the phase transform K times and its Sample
+// adds K exponentials. Beyond it the LST is taken by binary powering and
+// the sample from the equal gamma distribution, so a model with, say,
+// 10¹² phases costs O(log K) rather than hours.
+const erlangPhaseLoop = 64
+
 // LST implements Distribution: (λ/(λ+s))^k.
 func (e Erlang) LST(s complex128) complex128 {
 	phase := complex(e.Rate, 0) / (complex(e.Rate, 0) + s)
 	v := complex128(1)
+	if e.K > erlangPhaseLoop {
+		for k := e.K; k > 0; k >>= 1 {
+			if k&1 == 1 {
+				v *= phase
+			}
+			phase *= phase
+		}
+		return v
+	}
 	for i := 0; i < e.K; i++ {
 		v *= phase
 	}
@@ -176,6 +192,9 @@ func (e Erlang) Variance() float64 { return float64(e.K) / (e.Rate * e.Rate) }
 
 // Sample implements Distribution.
 func (e Erlang) Sample(r *rand.Rand) float64 {
+	if e.K > erlangPhaseLoop {
+		return NewGamma(float64(e.K), e.Rate).Sample(r)
+	}
 	var t float64
 	for i := 0; i < e.K; i++ {
 		t += r.ExpFloat64()

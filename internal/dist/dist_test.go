@@ -147,3 +147,24 @@ func TestCanonicalStrings(t *testing.T) {
 		t.Errorf("mixture canonical form %q, want %q", got, want)
 	}
 }
+
+func TestErlangManyPhases(t *testing.T) {
+	// Past the phase-by-phase loop the LST is binary powering: it must
+	// agree with the closed form and stay cheap at 10¹² phases.
+	for _, k := range []int{65, 1000, 123457} {
+		e := NewErlang(3, k)
+		s := complex(0.7, 1.3)
+		want := cmplx.Pow(3/(3+s), complex(float64(k), 0))
+		if got := e.LST(s); cmplx.Abs(got-want) > 1e-12*math.Max(1, cmplx.Abs(want)) {
+			t.Errorf("k=%d: LST = %v, want %v", k, got, want)
+		}
+	}
+	huge := NewErlang(1, 1_000_000_000_000)
+	if v := huge.LST(1e-12); !(real(v) > 0 && real(v) < 1) {
+		t.Errorf("LST at s = 1e-12 = %v, want e^{-1}-ish", v)
+	}
+	r := rand.New(rand.NewSource(3))
+	if x := huge.Sample(r); math.Abs(x/1e12-1) > 1e-3 {
+		t.Errorf("sample %g, want ≈ 1e12 (mean, relative spread 1e-6)", x)
+	}
+}

@@ -157,7 +157,7 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 		Enabled: func(m petri.Marking) bool {
 			v, err := evalReal(condition, newEnv(m))
 			if err != nil {
-				panic(fmt.Sprintf("%s: condition: %v", where, err))
+				panic(&petri.EvalError{Err: fmt.Errorf("%s: condition: %w", where, err)})
 			}
 			return v != 0
 		},
@@ -167,10 +167,10 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			for _, a := range actions {
 				v, err := evalReal(a.Value, en)
 				if err != nil {
-					panic(fmt.Sprintf("%s: action %s: %v", where, a.Place, err))
+					panic(&petri.EvalError{Err: fmt.Errorf("%s: action %s: %w", where, a.Place, err)})
 				}
 				if !isInteger(v) {
-					panic(fmt.Sprintf("%s: action %s yields non-integer %v in marking %v", where, a.Place, v, m))
+					panic(&petri.EvalError{Err: fmt.Errorf("%s: action %s yields non-integer %v in marking %v", where, a.Place, v, m)})
 				}
 				next[placeIdx[a.Place]] = int32(math.Round(v))
 			}
@@ -182,7 +182,7 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			}
 			v, err := evalReal(weight, newEnv(m))
 			if err != nil {
-				panic(fmt.Sprintf("%s: weight: %v", where, err))
+				panic(&petri.EvalError{Err: fmt.Errorf("%s: weight: %w", where, err)})
 			}
 			return v
 		},
@@ -192,7 +192,7 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			}
 			v, err := evalReal(priority, newEnv(m))
 			if err != nil || !isInteger(v) {
-				panic(fmt.Sprintf("%s: priority %v (err %v)", where, v, err))
+				panic(&petri.EvalError{Err: fmt.Errorf("%s: priority %v (err %v)", where, v, err)})
 			}
 			return int(math.Round(v))
 		},
@@ -210,7 +210,7 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			}
 			d, err := BuildDistribution(sojourn, newEnv(m))
 			if err != nil {
-				panic(fmt.Sprintf("%s: sojourn in marking %v: %v", where, m, err))
+				panic(&petri.EvalError{Err: fmt.Errorf("%s: sojourn in marking %v: %w", where, m, err)})
 			}
 			distCache[key] = d
 			return d
@@ -233,6 +233,11 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	return out
 }
+
+// maxTPoints bounds a measure's \t_points. Every t-point costs tens of
+// transform solves, so a larger grid is a typo, and an unchecked one
+// would allocate its t-grid before anything else could refuse it.
+const maxTPoints = 10000
 
 // ResolveMeasure evaluates a measure block against an explored state
 // space: source and target state sets plus the requested t-grid.
@@ -285,6 +290,9 @@ func (c *Compiled) ResolveMeasure(ms *MeasureSpec, ss *petri.StateSpace) (source
 	}
 	if !(lo > 0) || !(hi > lo) || !isInteger(np) || np < 1 {
 		return nil, nil, nil, fmt.Errorf("dnamaca: invalid t-grid [%v,%v]/%v (need 0 < t_start < t_stop)", lo, hi, np)
+	}
+	if np > maxTPoints {
+		return nil, nil, nil, fmt.Errorf("dnamaca: \\t_points %v exceeds %d", np, maxTPoints)
 	}
 	return sources, targets, Linspace(lo, hi, int(np)), nil
 }

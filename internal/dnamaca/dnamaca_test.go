@@ -1,6 +1,7 @@
 package dnamaca
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -491,5 +492,42 @@ func TestEvalRealOperatorTable(t *testing.T) {
 		if _, err := evalReal(e, en); err == nil {
 			t.Errorf("%q evaluated without error", bad)
 		}
+	}
+}
+
+func TestTPointsBounded(t *testing.T) {
+	spec, err := Parse(strings.Replace(minimalSpec, `\t_points{5}`, `\t_points{1e12}`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := petri.Explore(c.Net, petri.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.ResolveMeasure(spec.Passages[0], ss); err == nil || !strings.Contains(err.Error(), "t_points") {
+		t.Errorf("a 10¹²-point t-grid resolved with err = %v; want a t_points error", err)
+	}
+}
+
+func TestSojournErrorInExploreIsAnError(t *testing.T) {
+	// The compile-time probe cannot reject a transform whose parameters
+	// only go wrong in reachable markings; exploration must then report
+	// it rather than panic.
+	spec, err := Parse(strings.Replace(minimalSpec, "expLT(2, s)", "expLT(pa - 1, s)", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = petri.Explore(c.Net, petri.ExploreOptions{})
+	var ee *petri.EvalError
+	if !errors.As(err, &ee) || !strings.Contains(err.Error(), "exponential rate") {
+		t.Errorf("err = %v; want the exponential-rate failure as a petri.EvalError", err)
 	}
 }

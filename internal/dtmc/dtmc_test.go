@@ -35,54 +35,146 @@ func vecNear(a, b []float64, tol float64) bool {
 	return true
 }
 
+// powerOptions configures the power-iteration oracle.
+type powerOptions struct {
+	Tol     float64 // successive-iterate ∞-norm tolerance (default 1e-12)
+	MaxIter int     // default 100000
+	// Damping mixes the identity into the iteration:
+	// π ← (1−d)·πP + d·π. It leaves the fixed point unchanged but breaks
+	// periodicity; 0 disables (default 0.05).
+	Damping float64
+}
+
+// steadyStatePower is the test oracle for SteadyStateGS: damped power
+// iteration, which shares no code with the accelerated Gauss–Seidel
+// solver.
+func steadyStatePower(p *sparse.Matrix, opts powerOptions) ([]float64, error) {
+	if opts.Tol == 0 {
+		opts.Tol = 1e-12
+	}
+	if opts.MaxIter == 0 {
+		opts.MaxIter = 100000
+	}
+	if opts.Damping == 0 {
+		opts.Damping = 0.05
+	}
+	if err := validateStochastic(p); err != nil {
+		return nil, err
+	}
+	if !IsIrreducible(p) {
+		return nil, ErrReducible
+	}
+	n, _ := p.Dims()
+	pi := make([]float64, n)
+	next := make([]float64, n)
+	for i := range pi {
+		pi[i] = 1 / float64(n)
+	}
+	d := opts.Damping
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		p.VecMul(pi, next)
+		var diff, sum float64
+		for i := range next {
+			next[i] = (1-d)*next[i] + d*pi[i]
+			sum += next[i]
+		}
+		// Renormalise to counter drift.
+		inv := 1 / sum
+		for i := range next {
+			next[i] *= inv
+			if delta := math.Abs(next[i] - pi[i]); delta > diff {
+				diff = delta
+			}
+		}
+		pi, next = next, pi
+		if diff < opts.Tol {
+			return pi, nil
+		}
+	}
+	return nil, ErrNotConverged
+}
+
 func TestSteadyStateTwoState(t *testing.T) {
 	// π = (b, a)/(a+b) for P = [[1-a, a], [b, 1-b]].
 	p := chain([][]float64{{0.7, 0.3}, {0.2, 0.8}})
-	pi, err := SteadyState(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []float64{0.4, 0.6}
-	if !vecNear(pi, want, 1e-10) {
-		t.Errorf("pi = %v, want %v", pi, want)
+	for name, solve := range map[string]func() ([]float64, error){
+		"power": func() ([]float64, error) { return steadyStatePower(p, powerOptions{}) },
+		"GS":    func() ([]float64, error) { return SteadyStateGS(p, Options{}) },
+	} {
+		pi, err := solve()
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		if !vecNear(pi, want, 1e-10) {
+			t.Errorf("%s: pi = %v, want %v", name, pi, want)
+		}
 	}
 }
 
 func TestSteadyStatePeriodicChain(t *testing.T) {
 	// A 3-cycle is periodic; plain power iteration would oscillate but
-	// damping must still converge to the uniform distribution.
+	// damping must still converge to the uniform distribution, and a
+	// Gauss–Seidel sweep is not affected by periodicity at all.
 	p := chain([][]float64{{0, 1, 0}, {0, 0, 1}, {1, 0, 0}})
-	pi, err := SteadyState(p, Options{})
+	want := []float64{1. / 3, 1. / 3, 1. / 3}
+	pw, err := steadyStatePower(p, powerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{1. / 3, 1. / 3, 1. / 3}
-	if !vecNear(pi, want, 1e-9) {
-		t.Errorf("pi = %v, want %v", pi, want)
+	gs, err := SteadyStateGS(p, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !vecNear(pw, want, 1e-9) || !vecNear(gs, want, 1e-12) {
+		t.Errorf("power %v, GS %v, want %v", pw, gs, want)
+	}
+}
+
+// randomChain is an irreducible, aperiodic chain on n states: a ring
+// (irreducibility), self-loops (aperiodicity) and three random extra
+// edges per row.
+func randomChain(r *rand.Rand, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		rows[i][(i+1)%n] = 0.2
+		rest := 0.8
+		for k := 0; k < 3; k++ {
+			j := r.Intn(n)
+			v := rest * r.Float64()
+			rows[i][j] += v
+			rest -= v
+		}
+		rows[i][i] += rest
+	}
+	return rows
+}
+
+// nearlyDecomposable joins two random chains of n states each by moving
+// probability eps of every row into the other block.
+func nearlyDecomposable(r *rand.Rand, n int, eps float64) [][]float64 {
+	a, b := randomChain(r, n), randomChain(r, n)
+	rows := make([][]float64, 2*n)
+	for i := range rows {
+		rows[i] = make([]float64, 2*n)
+		src, off, other := a, 0, n
+		if i >= n {
+			src, off, other = b, n, 0
+		}
+		for j, v := range src[i-off] {
+			rows[i][off+j] = (1 - eps) * v
+		}
+		rows[i][other+r.Intn(n)] += eps
+	}
+	return rows
 }
 
 func TestGaussSeidelMatchesPower(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		n := 2 + r.Intn(25)
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, n)
-			// Ring structure for guaranteed irreducibility plus random
-			// extra edges.
-			rows[i][(i+1)%n] = 0.2
-			var rest float64 = 0.8
-			for k := 0; k < 3; k++ {
-				j := r.Intn(n)
-				v := rest * r.Float64()
-				rows[i][j] += v
-				rest -= v
-			}
-			rows[i][i] += rest
-		}
-		p := chain(rows)
-		pw, err := SteadyState(p, Options{})
+		p := chain(randomChain(r, 2+r.Intn(60)))
+		pw, err := steadyStatePower(p, powerOptions{Tol: 1e-15})
 		if err != nil {
 			t.Fatalf("power: %v", err)
 		}
@@ -90,8 +182,123 @@ func TestGaussSeidelMatchesPower(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gs: %v", err)
 		}
-		if !vecNear(pw, gs, 1e-8) {
+		if !vecNear(pw, gs, 1e-10) {
 			t.Fatalf("trial %d: power %v vs GS %v", trial, pw, gs)
+		}
+	}
+}
+
+func TestGaussSeidelMatchesPowerNearlyDecomposable(t *testing.T) {
+	// Two blocks coupled with probability 1e-3: the power iteration's
+	// subdominant eigenvalue is within ~1e-3 of 1, the regime of the
+	// voting models' rare failures.
+	p := chain(nearlyDecomposable(rand.New(rand.NewSource(11)), 40, 1e-3))
+	pw, err := steadyStatePower(p, powerOptions{Tol: 1e-16, MaxIter: 1_000_000})
+	if err != nil {
+		t.Fatalf("power: %v", err)
+	}
+	gs, err := SteadyStateGS(p, Options{})
+	if err != nil {
+		t.Fatalf("gs: %v", err)
+	}
+	if !vecNear(pw, gs, 1e-10) {
+		t.Fatalf("power %v vs GS %v", pw, gs)
+	}
+}
+
+// plainGSSweeps counts the sweeps unaccelerated Gauss–Seidel takes to
+// meet SteadyStateGS's stopping test.
+func plainGSSweeps(p *sparse.Matrix, tol float64) int {
+	n, _ := p.Dims()
+	pt := p.Transpose()
+	selfLoop := make([]float64, n)
+	pi := make([]float64, n)
+	for i := range pi {
+		selfLoop[i] = p.At(i, i)
+		pi[i] = 1 / float64(n)
+	}
+	for iter := 1; ; iter++ {
+		diff, sum, settled := sweep(pt, selfLoop, pi)
+		if diff < tol*sum && settled {
+			return iter
+		}
+		for i := range pi {
+			pi[i] /= sum
+		}
+	}
+}
+
+func TestAndersonCutsSweeps(t *testing.T) {
+	p := chain(nearlyDecomposable(rand.New(rand.NewSource(3)), 150, 1e-4))
+	plain := plainGSSweeps(p, 1e-12)
+	pi, accel, err := steadyStateGS(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("plain %d sweeps, accelerated %d, residual %.2g", plain, accel, Residual(p, pi))
+	if float64(accel) > 0.35*float64(plain) {
+		t.Errorf("accelerated solve took %d sweeps, plain %d: want ≤ 0.35x", accel, plain)
+	}
+	if r := Residual(p, pi); r > 1e-11 {
+		t.Errorf("residual %g", r)
+	}
+}
+
+// swept fills a.g with a positive vector of mass 1 within 1% of the
+// current iterate, as a sweep near convergence would.
+func swept(a *anderson, seed int64) (diff, sum float64) {
+	r := rand.New(rand.NewSource(seed))
+	for i := range a.g {
+		a.g[i] = a.x[i] / a.xSum * (1 + 0.01*r.Float64())
+		sum += a.g[i]
+	}
+	for i := range a.g {
+		a.g[i] /= sum
+		if d := math.Abs(a.g[i] - a.x[i]/a.xSum); d > diff {
+			diff = d
+		}
+	}
+	return diff, 1
+}
+
+func TestAndersonDropsHistoryWhenChangeGrows(t *testing.T) {
+	a := newAnderson(50, 4)
+	for k := int64(1); k <= 3; k++ {
+		diff, sum := swept(a, k)
+		a.mix(diff/float64(k*k), sum) // shrinking changes: history builds
+	}
+	if a.hist != 2 {
+		t.Fatalf("history holds %d columns after three shrinking sweeps, want 2", a.hist)
+	}
+	diff, sum := swept(a, 4)
+	want := append([]float64(nil), a.g...)
+	a.mix(diff, sum) // a larger change than the last one
+	if a.hist != 0 {
+		t.Errorf("history holds %d columns after a growing change, want 0", a.hist)
+	}
+	for i := range want {
+		if a.x[i] != want[i] || a.g[i] != want[i] {
+			t.Fatalf("entry %d: next iterate %v/%v, want the plain sweep's %v", i, a.x[i], a.g[i], want[i])
+		}
+	}
+}
+
+func TestAndersonNonFiniteMixFallsBack(t *testing.T) {
+	a := newAnderson(50, 4)
+	for k := int64(1); k <= 3; k++ {
+		diff, sum := swept(a, k)
+		a.mix(diff/float64(k*k), sum)
+	}
+	a.dG[0][7] = math.NaN() // poisons ΔG·γ but not the Gram system
+	diff, sum := swept(a, 4)
+	want := append([]float64(nil), a.g...)
+	a.mix(diff/100, sum)
+	if a.hist != 0 || a.xSum != 1 {
+		t.Errorf("after a non-finite mix: %d history columns, mass %v; want 0 and 1", a.hist, a.xSum)
+	}
+	for i := range want {
+		if a.x[i] != want[i] || a.g[i] != want[i] {
+			t.Fatalf("entry %d: next iterate %v/%v, want the plain sweep's %v", i, a.x[i], a.g[i], want[i])
 		}
 	}
 }
@@ -114,7 +321,7 @@ func TestSteadyStateResidualProperty(t *testing.T) {
 			rows[i][i] += 1 - sum
 		}
 		p := chain(rows)
-		pi, err := SteadyState(p, Options{})
+		pi, err := SteadyStateGS(p, Options{})
 		if err != nil {
 			return false
 		}
@@ -135,9 +342,6 @@ func TestSteadyStateResidualProperty(t *testing.T) {
 func TestReducibleChainRejected(t *testing.T) {
 	// Two absorbing halves.
 	p := chain([][]float64{{1, 0}, {0, 1}})
-	if _, err := SteadyState(p, Options{}); err != ErrReducible {
-		t.Errorf("err = %v, want ErrReducible", err)
-	}
 	if _, err := SteadyStateGS(p, Options{}); err != ErrReducible {
 		t.Errorf("GS err = %v, want ErrReducible", err)
 	}
@@ -145,7 +349,7 @@ func TestReducibleChainRejected(t *testing.T) {
 
 func TestNonStochasticRejected(t *testing.T) {
 	p := chain([][]float64{{0.5, 0.2}, {0.5, 0.5}})
-	if _, err := SteadyState(p, Options{}); err == nil {
+	if _, err := SteadyStateGS(p, Options{}); err == nil {
 		t.Error("accepted non-stochastic matrix")
 	}
 }
@@ -212,5 +416,44 @@ func TestAlphaWeights(t *testing.T) {
 	}
 	if _, err := Alpha([]float64{0, 1}, []int{0}); err == nil {
 		t.Error("accepted zero-mass source set")
+	}
+}
+
+func TestRareStatesKeepRelativeAccuracy(t *testing.T) {
+	// A birth–death chain with up-probability a and down-probability b
+	// has π_i ∝ (a/b)^i: here the last state's probability is ~1e-146.
+	// The absolute stopping test is blind to such states; the solve must
+	// still get each of them right relative to itself.
+	const n, a, b = 50, 0.001, 0.9
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		if i+1 < n {
+			rows[i][i+1] = a
+		}
+		if i > 0 {
+			rows[i][i-1] = b
+		}
+		var out float64
+		for _, v := range rows[i] {
+			out += v
+		}
+		rows[i][i] = 1 - out
+	}
+	pi, err := SteadyStateGS(chain(rows), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, n)
+	var total float64
+	for i := range want {
+		want[i] = math.Pow(a/b, float64(i))
+		total += want[i]
+	}
+	for i := range want {
+		want[i] /= total
+		if rel := math.Abs(pi[i]-want[i]) / want[i]; !(rel < 1e-6) {
+			t.Errorf("π[%d] = %.6g, want %.6g (relative error %.2g)", i, pi[i], want[i], rel)
+		}
 	}
 }

@@ -1,6 +1,21 @@
 package passage
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
+
+// finite reports whether an increment norm is a number. A NaN or
+// infinite increment means the Eq. (10) sum has overflowed — |h*(s)| > 1
+// somewhere, as happens left of the imaginary axis — and no later sweep
+// can bring it back, so the drivers stop at once instead of running to
+// MaxR.
+func finite(m float64) bool { return !math.IsNaN(m) && !math.IsInf(m, 0) }
+
+// nonFinite is the error for a non-finite increment after sweep r at s.
+func nonFinite(s complex128, r int) error {
+	return fmt.Errorf("%w: non-finite increment after %d sweeps at s=%v", ErrNoConvergence, r, s)
+}
 
 // convGauge is the shared truncation judge for the Eq. (10) iterations:
 // the cold series, the warm refinement, and the sharded distributed

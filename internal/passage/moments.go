@@ -36,7 +36,13 @@ func (mo *Moments) Variance(i int) float64 {
 	return mo.Second[i] - mo.Mean[i]*mo.Mean[i]
 }
 
-// PassageMoments solves the two linear systems by Gauss–Seidel sweeps.
+// PassageMoments solves the two linear systems by one joint Gauss–Seidel
+// iteration: each sweep updates E[T_i] and E[T_i²] from the latest
+// means. The second-moment system only reads the first, so the joint
+// sweep has the fixed point of solving them one after the other. The
+// means stop moving once they pass their tolerance — they are then the
+// iterate a first-moment solve on its own would have returned — and the
+// second moments run on until they pass theirs.
 func PassageMoments(m *smp.Model, targets []int, opts Options) (*Moments, error) {
 	opts = opts.withDefaults()
 	n := m.N()
@@ -51,82 +57,83 @@ func PassageMoments(m *smp.Model, targets []int, opts Options) (*Moments, error)
 		inTarget[t] = true
 	}
 
-	// Per-state sojourn moments and per-term data.
-	type term struct {
-		to   int
-		p    float64
-		mean float64
+	// Per-distribution moments, then per-state sojourn moments.
+	dists := m.Distributions()
+	dMean := make([]float64, len(dists))   // E[τ] of each distribution
+	dSecond := make([]float64, len(dists)) // E[τ²] of each distribution
+	for id, d := range dists {
+		v, ok := d.(dist.Varer)
+		if !ok {
+			return nil, fmt.Errorf("passage: distribution %s has no second moment; PassageMoments requires dist.Varer", d)
+		}
+		dMean[id] = d.Mean()
+		dSecond[id] = v.Variance() + dMean[id]*dMean[id]
 	}
-	terms := make([][]term, n)
 	m1 := make([]float64, n) // E[sojourn_i]
 	m2 := make([]float64, n) // E[sojourn_i²]
-	var badDist dist.Distribution
 	for i := 0; i < n; i++ {
-		m.Terms(i, func(t smp.Term) {
-			mean := t.Dist.Mean()
-			v, ok := t.Dist.(dist.Varer)
-			if !ok {
-				badDist = t.Dist
-				return
-			}
-			second := v.Variance() + mean*mean
-			m1[i] += t.Prob * mean
-			m2[i] += t.Prob * second
-			terms[i] = append(terms[i], term{to: t.To, p: t.Prob, mean: mean})
-		})
-		if badDist != nil {
-			return nil, fmt.Errorf("passage: distribution %s has no second moment; PassageMoments requires dist.Varer", badDist)
+		_, prob, did := m.TermSlices(i)
+		for k, p := range prob {
+			m1[i] += p * dMean[did[k]]
+			m2[i] += p * dSecond[did[k]]
 		}
 	}
 
-	// First moments: E_i = m1_i + Σ_{k∉j} p_ik·E_k, where the sum is over
-	// successor states (post-jump), so the "absorbing" truncation applies
-	// to the *destination*.
-	mean := make([]float64, n)
-	solve := func(update func(i int) float64, x []float64) error {
-		for iter := 0; iter < opts.GSMaxIter; iter++ {
-			var worst float64
-			for i := 0; i < n; i++ {
-				next := update(i)
-				if d := math.Abs(next - x[i]); d > worst {
-					worst = d
+	// E_i = m1_i + Σ_{k∉j} p_ik·E_k, where the sum is over successor
+	// states (post-jump), so the "absorbing" truncation applies to the
+	// *destination*; and E[T_i²] = E[(τ + T')²] = m2_i +
+	// 2·Σ p_ik·E[τ_ik]·E[T_k] + Σ p_ik·E[T_k²] over non-target
+	// successors — for target successors the remaining passage is zero.
+	//
+	// The two moments of a non-target state sit side by side, x[2i] =
+	// E[T_i] and x[2i+1] = E[T_i²], so the random access to a successor
+	// fetches both with one cache line. A target's entries stay zero —
+	// the remaining passage once it is entered — and its own moments,
+	// which no other state reads, go to tgt.
+	x := make([]float64, 2*n)
+	tgt := make([]float64, 2*n)
+	meanDone := false
+	for iter := 0; iter < opts.GSMaxIter; iter++ {
+		var worstM, worstS, l1M, l1S float64
+		for i := 0; i < n; i++ {
+			to, prob, did := m.TermSlices(i)
+			sumM, sumS := m1[i], m2[i]
+			for k, j := range to {
+				p, mj := prob[k], x[2*j]
+				sumM += p * mj
+				sumS += 2*p*dMean[did[k]]*mj + p*x[2*j+1]
+			}
+			own := x[2*i : 2*i+2]
+			if inTarget[i] {
+				own = tgt[2*i : 2*i+2]
+			}
+			if !meanDone {
+				if d := math.Abs(sumM - own[0]); d > worstM {
+					worstM = d
 				}
-				x[i] = next
+				own[0] = sumM
+				l1M += math.Abs(sumM)
 			}
-			if worst < opts.GSEpsilon*(1+l1Real(x)/float64(n)) {
-				return nil
+			if d := math.Abs(sumS - own[1]); d > worstS {
+				worstS = d
 			}
+			own[1] = sumS
+			l1S += math.Abs(sumS)
 		}
-		return fmt.Errorf("%w: moment Gauss–Seidel after %d sweeps", ErrNoConvergence, opts.GSMaxIter)
-	}
-	if err := solve(func(i int) float64 {
-		sum := m1[i]
-		for _, t := range terms[i] {
-			if !inTarget[t.to] {
-				sum += t.p * mean[t.to]
+		meanDone = meanDone || worstM < opts.GSEpsilon*(1+l1M/float64(n))
+		if meanDone && worstS < opts.GSEpsilon*(1+l1S/float64(n)) {
+			mo := &Moments{Mean: make([]float64, n), Second: make([]float64, n)}
+			for i := range mo.Mean {
+				own := x
+				if inTarget[i] {
+					own = tgt
+				}
+				mo.Mean[i], mo.Second[i] = own[2*i], own[2*i+1]
 			}
+			return mo, nil
 		}
-		return sum
-	}, mean); err != nil {
-		return nil, err
 	}
-
-	// Second moments: E[T_i²] = E[(τ + T')²] = m2_i + 2·Σ p_ik·E[τ_ik]·E[T_k]
-	// + Σ p_ik·E[T_k²] over non-target successors; for target successors
-	// the remaining passage is zero.
-	second := make([]float64, n)
-	if err := solve(func(i int) float64 {
-		sum := m2[i]
-		for _, t := range terms[i] {
-			if !inTarget[t.to] {
-				sum += 2*t.p*t.mean*mean[t.to] + t.p*second[t.to]
-			}
-		}
-		return sum
-	}, second); err != nil {
-		return nil, err
-	}
-	return &Moments{Mean: mean, Second: second}, nil
+	return nil, fmt.Errorf("%w: moment Gauss–Seidel after %d sweeps", ErrNoConvergence, opts.GSMaxIter)
 }
 
 // WeightedMoments reduces per-state moments over a source weighting:
@@ -138,12 +145,4 @@ func (mo *Moments) WeightedMoments(src SourceWeights) (mean, variance float64) {
 		s += src.Weights[k] * mo.Second[i]
 	}
 	return m, s - m*m
-}
-
-func l1Real(v []float64) float64 {
-	var sum float64
-	for _, x := range v {
-		sum += math.Abs(x)
-	}
-	return sum
 }

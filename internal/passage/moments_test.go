@@ -1,12 +1,15 @@
 package passage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"hydra/internal/dist"
+	"hydra/internal/petri"
 	"hydra/internal/smp"
+	"hydra/internal/voting"
 )
 
 func TestMomentsHypoexponential(t *testing.T) {
@@ -206,5 +209,116 @@ func TestWeightedMoments(t *testing.T) {
 	}
 	if variance < 0 {
 		t.Errorf("negative mixture variance %v", variance)
+	}
+}
+
+// twoPassMoments is the moment solve as two Gauss–Seidel iterations, the
+// first moments to convergence and then the second moments over them:
+// the reference the joint sweep of PassageMoments must reproduce.
+func twoPassMoments(m *smp.Model, targets []int, opts Options) (*Moments, error) {
+	opts = opts.withDefaults()
+	n := m.N()
+	inTarget := make([]bool, n)
+	for _, t := range targets {
+		inTarget[t] = true
+	}
+	m1, m2 := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		m.Terms(i, func(t smp.Term) {
+			mean := t.Dist.Mean()
+			m1[i] += t.Prob * mean
+			m2[i] += t.Prob * (t.Dist.(dist.Varer).Variance() + mean*mean)
+		})
+	}
+	solve := func(update func(i int) float64, x []float64) error {
+		for iter := 0; iter < opts.GSMaxIter; iter++ {
+			var worst, l1 float64
+			for i := 0; i < n; i++ {
+				next := update(i)
+				worst = math.Max(worst, math.Abs(next-x[i]))
+				x[i] = next
+			}
+			for _, v := range x {
+				l1 += math.Abs(v)
+			}
+			if worst < opts.GSEpsilon*(1+l1/float64(n)) {
+				return nil
+			}
+		}
+		return ErrNoConvergence
+	}
+	mean, second := make([]float64, n), make([]float64, n)
+	if err := solve(func(i int) float64 {
+		sum := m1[i]
+		m.Terms(i, func(t smp.Term) {
+			if !inTarget[t.To] {
+				sum += t.Prob * mean[t.To]
+			}
+		})
+		return sum
+	}, mean); err != nil {
+		return nil, err
+	}
+	if err := solve(func(i int) float64 {
+		sum := m2[i]
+		m.Terms(i, func(t smp.Term) {
+			if !inTarget[t.To] {
+				sum += 2*t.Prob*t.Dist.Mean()*mean[t.To] + t.Prob*second[t.To]
+			}
+		})
+		return sum
+	}, second); err != nil {
+		return nil, err
+	}
+	return &Moments{Mean: mean, Second: second}, nil
+}
+
+// checkJointMatchesTwoPass compares PassageMoments with twoPassMoments
+// and returns the largest relative differences of the two moments.
+func checkJointMatchesTwoPass(t *testing.T, name string, m *smp.Model, targets []int) (worstM, worstS float64) {
+	t.Helper()
+	got, err := PassageMoments(m, targets, Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := twoPassMoments(m, targets, Options{})
+	if err != nil {
+		t.Fatalf("%s: two-pass: %v", name, err)
+	}
+	for i := range want.Mean {
+		worstM = math.Max(worstM, math.Abs(got.Mean[i]-want.Mean[i])/math.Abs(want.Mean[i]))
+		worstS = math.Max(worstS, math.Abs(got.Second[i]-want.Second[i])/math.Abs(want.Second[i]))
+	}
+	if !(worstM <= 1e-9 && worstS <= 1e-9) {
+		t.Errorf("%s: joint sweep differs from two-pass by %.2g (mean), %.2g (second moment) relative; want ≤ 1e-9", name, worstM, worstS)
+	}
+	return worstM, worstS
+}
+
+func TestJointMomentsMatchTwoPassRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		m := randomSMP(r, 3+r.Intn(40))
+		targets := []int{r.Intn(m.N())}
+		if r.Intn(2) == 0 {
+			targets = append(targets, r.Intn(m.N()))
+		}
+		checkJointMatchesTwoPass(t, fmt.Sprintf("trial %d", trial), m, targets)
+	}
+}
+
+func TestJointMomentsMatchTwoPassVoting(t *testing.T) {
+	systems := []int{0, 1}
+	if testing.Short() {
+		systems = systems[:1]
+	}
+	for _, sys := range systems {
+		ss, err := voting.BuildSystem(sys, voting.DefaultDurations(), petri.ExploreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := voting.Table1[sys].Config
+		worstM, worstS := checkJointMatchesTwoPass(t, fmt.Sprintf("system %d", sys), ss.Model, voting.VotedAtLeast(ss, cfg.CC))
+		t.Logf("system %d: joint − two-pass: %.2g (mean), %.2g (second moment) relative", sys, worstM, worstS)
 	}
 }

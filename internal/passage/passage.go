@@ -319,6 +319,9 @@ func (sv *Solver) IterativeLST(s complex128, src SourceWeights, targets []int) (
 			}
 		default: // MassBound
 			l1 := l1Norm(sv.acc)
+			if !finite(l1) {
+				return 0, r, nonFinite(s, r)
+			}
 			if l1 < sv.opts.Epsilon {
 				// Tail ≤ l1·ρ̂/(1−ρ̂) with ρ̂ the observed decay ratio;
 				// require the bound itself below Epsilon.

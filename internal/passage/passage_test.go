@@ -216,7 +216,7 @@ func TestComputeSourceWeightsMatchesEmbeddedChain(t *testing.T) {
 	if math.Abs(sw.Weights[0]-0.5) > 1e-9 || math.Abs(sw.Weights[1]-0.5) > 1e-9 {
 		t.Errorf("alpha = %v, want [0.5 0.5]", sw.Weights)
 	}
-	pi, err := dtmc.SteadyState(m.EmbeddedDTMC(), dtmc.Options{})
+	pi, err := dtmc.SteadyStateGS(m.EmbeddedDTMC(), dtmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

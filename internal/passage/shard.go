@@ -420,9 +420,7 @@ func (sv *ShardSolver) sweepOnceFixedPoint(early func([]complex128)) float64 {
 	var m float64
 	for i := range sv.yOwn {
 		d := sv.yOwn[i] - own[i]
-		if a := math.Hypot(real(d), imag(d)); a > m {
-			m = a
-		}
+		m = nanMax(m, math.Hypot(real(d), imag(d)))
 	}
 	copy(own, sv.yOwn)
 	return m
@@ -891,9 +889,10 @@ func (ss *ShardSession) solvePoint(s complex128, warm bool) ([]complex128, int, 
 			} else if err := ss.scatterBoundary(w, bounds[w]); err != nil {
 				return nil, sweeps, err
 			}
-			if norms[w] > m {
-				m = norms[w]
-			}
+			m = nanMax(m, norms[w])
+		}
+		if !finite(m) {
+			return nil, sweeps, nonFinite(s, sweeps)
 		}
 		// A batched exchange's final sweep ran against a halo that is
 		// inner sweeps stale, so its increment norm underestimates the

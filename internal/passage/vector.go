@@ -140,7 +140,11 @@ func (sv *Solver) series(s complex128) ([]complex128, int, error) {
 		for i := range z {
 			z[i] += sv.acc[i]
 		}
-		if gauge.converged(maxNorm(sv.acc)) {
+		m := maxNorm(sv.acc)
+		if !finite(m) {
+			return nil, r, nonFinite(s, r)
+		}
+		if gauge.converged(m) {
 			sv.settle(z, r, false)
 			return z, r, nil
 		}
@@ -186,11 +190,14 @@ func (sv *Solver) refine(s complex128) ([]complex128, int, error) {
 		var m float64
 		for i := range y {
 			d := y[i] - x[i]
-			if a := math.Hypot(real(d), imag(d)); a > m {
-				m = a
-			}
+			m = nanMax(m, math.Hypot(real(d), imag(d)))
 		}
 		x, y = y, x
+		if !finite(m) {
+			sv.acc, sv.next = x, y
+			sv.staleSeed()
+			return nil, r, nonFinite(s, r)
+		}
 		if gauge.converged(m) {
 			sv.acc, sv.next = x, y
 			sv.settle(x, r, true)
@@ -198,10 +205,16 @@ func (sv *Solver) refine(s complex128) ([]complex128, int, error) {
 		}
 	}
 	sv.acc, sv.next = x, y
-	p.zWarm, p.zPrev, p.zPrev2 = false, false, false // stale seed: rerun cold
-	sv.lastWarm, sv.lastSaved = false, 0
+	sv.staleSeed()
 	return nil, sv.opts.MaxR, fmt.Errorf("%w: warm refinement after %d sweeps at s=%v",
 		ErrNoConvergence, sv.opts.MaxR, s)
+}
+
+// staleSeed drops the current entry's warm-start history after a failed
+// refinement, so the point reruns cold.
+func (sv *Solver) staleSeed() {
+	sv.cur.zWarm, sv.cur.zPrev, sv.cur.zPrev2 = false, false, false
+	sv.lastWarm, sv.lastSaved = false, 0
 }
 
 // settle records a converged fixed point z of depth r on the current
@@ -227,13 +240,21 @@ func (sv *Solver) settle(z []complex128, r int, warm bool) {
 	p.zPrev, p.zPrev2 = false, false
 }
 
-// maxNorm returns max_i |v_i|.
+// maxNorm returns max_i |v_i|, NaN if any |v_i| is NaN.
 func maxNorm(v []complex128) float64 {
 	var m float64
 	for _, c := range v {
-		if a := math.Hypot(real(c), imag(c)); a > m {
-			m = a
-		}
+		m = nanMax(m, math.Hypot(real(c), imag(c)))
+	}
+	return m
+}
+
+// nanMax is the running max of increment norms. Unlike a bare a > m it
+// keeps a NaN, which would otherwise read as a zero increment and
+// certify a diverged sum.
+func nanMax(m, a float64) float64 {
+	if a > m || math.IsNaN(a) && !math.IsNaN(m) {
+		return a
 	}
 	return m
 }

@@ -1,9 +1,14 @@
 package passage
 
 import (
+	"errors"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"hydra/internal/dist"
+	"hydra/internal/smp"
 )
 
 // TestIterativeVectorMatchesPerSource is the solver-equivalence
@@ -72,4 +77,55 @@ func TestIterativeVectorPaperIncrementCriterion(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNonFiniteIncrementIsAnError drives the drivers left of the
+// imaginary axis, where |h*(s)| > 1 and the Eq. (10) sum overflows: every
+// route must report ErrNoConvergence within a few hundred sweeps instead
+// of certifying NaN after MaxR.
+func TestNonFiniteIncrementIsAnError(t *testing.T) {
+	// 0 ⇄ 1 cycles with exp(1) sojourns and leaves to the target 2 with
+	// probability 0.1; at s = −0.8, h*(s) = 5 and the cycle's weight per
+	// round trip is 22.5.
+	b := smp.NewBuilder(3)
+	e := dist.NewExponential(1)
+	b.Add(0, 1, 0.9, e)
+	b.Add(0, 2, 0.1, e)
+	b.Add(1, 0, 1, e)
+	b.Add(2, 0, 1, e)
+	m := mustModel(t, b)
+	const bad = complex(-0.8, 0)
+	targets := []int{2}
+	check := func(route string, v []complex128, r int, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNoConvergence) {
+			t.Errorf("%s: err = %v, vector %v; want ErrNoConvergence", route, err, v)
+			return
+		}
+		if r > 10000 {
+			t.Errorf("%s: gave up after %d sweeps; want it to stop at the first non-finite increment", route, r)
+		}
+		if !strings.Contains(err.Error(), "s=(-0.8+0i)") {
+			t.Errorf("%s: error %q does not name s", route, err)
+		}
+	}
+
+	v, r, err := NewSolver(m, Options{}).VectorLST(bad, targets)
+	check("series", v, r, err)
+	v, r, err = NewSolver(m, Options{}).IterativeVectorLST(bad, targets)
+	check("iterative series", v, r, err)
+	_, r, err = NewSolver(m, Options{}).IterativeLST(bad, SourceWeights{States: []int{0}, Weights: []float64{1}}, targets)
+	check("row iteration", nil, r, err)
+
+	warm := NewSolver(m, Options{WarmStart: true})
+	if _, _, err := warm.VectorLST(1, targets); err != nil {
+		t.Fatal(err)
+	}
+	// The warm refinement runs first and must fail over to the series,
+	// which fails the same way.
+	v, r, err = warm.VectorLST(bad, targets)
+	check("warm refinement", v, r, err)
+
+	_, _, err = SolveSharded(m, Options{}, 2, targets, []complex128{bad}, 0)
+	check("sharded", nil, 0, err)
 }

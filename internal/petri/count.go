@@ -7,7 +7,8 @@ import "fmt"
 // markings (they are counted and not expanded), which makes it suitable
 // for structural searches over candidate nets. maxStates ≤ 0 means
 // unbounded.
-func CountReachable(n *Net, maxStates int) (int, error) {
+func CountReachable(n *Net, maxStates int) (_ int, err error) {
+	defer recoverEval(&err)
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hydra/internal/dist"
 	"hydra/internal/smp"
 )
 
@@ -15,6 +14,28 @@ var ErrDeadMarking = errors.New("petri: dead marking reached")
 
 // ErrStateSpaceTooLarge is returned when exploration exceeds MaxStates.
 var ErrStateSpaceTooLarge = errors.New("petri: state space exceeds MaxStates")
+
+// EvalError is the panic value with which a transition's callbacks
+// report that they cannot be evaluated in a marking: a condition,
+// action, weight, priority or firing-time expression that fails there.
+// Explore and CountReachable return it as their error; any other panic
+// propagates.
+type EvalError struct{ Err error }
+
+func (e *EvalError) Error() string { return e.Err.Error() }
+
+func (e *EvalError) Unwrap() error { return e.Err }
+
+// recoverEval turns an EvalError panic into *err.
+func recoverEval(err *error) {
+	if r := recover(); r != nil {
+		ee, ok := r.(*EvalError)
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("petri: %w", ee)
+	}
+}
 
 // ExploreOptions bounds and tunes state-space generation.
 type ExploreOptions struct {
@@ -74,12 +95,16 @@ func (ss *StateSpace) StateIndex(m Marking) int {
 // initial marking, building the SMP kernel as it goes: in each marking m
 // the priority-enabled transitions EP(m) fire with probability
 // w_t(m)/Σw(m) after a delay drawn from d_t(m) (§5.1).
-func Explore(n *Net, opts ExploreOptions) (*StateSpace, error) {
+func Explore(n *Net, opts ExploreOptions) (_ *StateSpace, err error) {
+	defer recoverEval(&err)
 	opts = opts.withDefaults()
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 
+	// Transitions go straight into the SMP builder, which interns their
+	// distributions; it grows with the state space.
+	b := smp.NewBuilder(1)
 	index := make(map[string]int32, 1024)
 	var states []Marking
 	intern := func(m Marking) (int32, bool) {
@@ -90,32 +115,14 @@ func Explore(n *Net, opts ExploreOptions) (*StateSpace, error) {
 		id := int32(len(states))
 		index[key] = id
 		states = append(states, m)
+		b.EnsureStates(len(states))
 		return id, true
-	}
-
-	type edge struct {
-		from, to int32
-		prob     float64
-		distID   int32
-	}
-	// Distribution interning happens again inside smp.Builder; here we
-	// only hold references.
-	var edges []edge
-	dists := make([]distRef, 0, 16)
-	distIdx := make(map[string]int32, 16)
-	internDist := func(d distRef) int32 {
-		if id, ok := distIdx[d.key]; ok {
-			return id
-		}
-		id := int32(len(dists))
-		dists = append(dists, d)
-		distIdx[d.key] = id
-		return id
 	}
 
 	root, _ := intern(n.Initial.Clone())
 	queue := []int32{root}
 	var epBuf []*Transition
+	var weights []float64
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -125,15 +132,17 @@ func Explore(n *Net, opts ExploreOptions) (*StateSpace, error) {
 		if len(ep) == 0 {
 			return nil, fmt.Errorf("%w: %v", ErrDeadMarking, m)
 		}
+		weights = weights[:0]
 		var totalW float64
 		for _, t := range ep {
 			w := t.Weight(m)
 			if !(w > 0) {
 				return nil, fmt.Errorf("petri: transition %q has non-positive weight %v in marking %v", t.Name, w, m)
 			}
+			weights = append(weights, w)
 			totalW += w
 		}
-		for _, t := range ep {
+		for k, t := range ep {
 			next := t.Fire(m)
 			if len(next) != len(n.Places) {
 				return nil, fmt.Errorf("petri: transition %q produced marking of wrong size", t.Name)
@@ -150,33 +159,18 @@ func Explore(n *Net, opts ExploreOptions) (*StateSpace, error) {
 				}
 				queue = append(queue, nid)
 			}
-			d := t.Dist(m)
-			edges = append(edges, edge{
-				from:   id,
-				to:     nid,
-				prob:   t.Weight(m) / totalW,
-				distID: internDist(distRef{key: d.String(), d: d}),
-			})
+			b.Add(int(id), int(nid), weights[k]/totalW, t.Dist(m))
 		}
 	}
 
-	b := smp.NewBuilder(len(states))
 	if opts.StoreLabels {
 		for i, m := range states {
 			b.SetLabel(i, m.String())
 		}
-	}
-	for _, e := range edges {
-		b.Add(int(e.from), int(e.to), e.prob, dists[e.distID].d)
 	}
 	model, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("petri: building SMP from reachability graph: %w", err)
 	}
 	return &StateSpace{Net: n, States: states, Model: model}, nil
-}
-
-type distRef struct {
-	key string
-	d   dist.Distribution
 }

@@ -25,7 +25,7 @@ func TestLongRunOccupancyMatchesSMPSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := dtmc.SteadyState(m.EmbeddedDTMC(), dtmc.Options{})
+	pi, err := dtmc.SteadyStateGS(m.EmbeddedDTMC(), dtmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

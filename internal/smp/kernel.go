@@ -130,15 +130,14 @@ func (m *Model) Distributions() []dist.Distribution {
 }
 
 // EmbeddedDTMC returns the one-step transition probability matrix
-// P = [p_ij] of the embedded discrete-time chain (Eq. 5's P).
+// P = [p_ij] of the embedded discrete-time chain (Eq. 5's P). It shares
+// the kernel pattern's structure, so only its values are allocated.
 func (m *Model) EmbeddedDTMC() *sparse.Matrix {
-	b := sparse.NewBuilder(m.n, m.n)
-	for i := 0; i < m.n; i++ {
-		for k := m.termPtr[i]; k < m.termPtr[i+1]; k++ {
-			b.Add(i, int(m.termTo[k]), m.termProb[k])
-		}
+	vals := make([]float64, m.pattern.NNZ())
+	for k, slot := range m.termSlot {
+		vals[slot] += m.termProb[k]
 	}
-	return b.Build()
+	return m.pattern.NewMatrix(vals)
 }
 
 // MeanSojourns returns E[sojourn in state i] = Σ_t p_t·E[dist_t] for

@@ -14,6 +14,7 @@ package smp
 
 import (
 	"fmt"
+	"reflect"
 
 	"hydra/internal/dist"
 	"hydra/internal/sparse"
@@ -73,16 +74,31 @@ func (m *Model) Terms(i int, fn func(t Term)) {
 	}
 }
 
+// TermSlices returns state i's transition terms as three parallel
+// slices of the model's flattened term arrays: the destination, the
+// probability and the interned distribution id (an index into
+// Distributions) of each. They alias the model and must not be
+// modified. It is the allocation-free form of Terms for inner loops.
+func (m *Model) TermSlices(i int) (to []int32, prob []float64, dist []int32) {
+	lo, hi := m.termPtr[i], m.termPtr[i+1]
+	return m.termTo[lo:hi], m.termProb[lo:hi], m.termDist[lo:hi]
+}
+
 // Builder accumulates transitions and assembles a Model.
 type Builder struct {
-	n       int
-	from    []int32
-	to      []int32
-	prob    []float64
-	distID  []int32
-	distIdx map[string]int32
-	dists   []dist.Distribution
-	labels  []string
+	n      int
+	from   []int32
+	to     []int32
+	prob   []float64
+	distID []int32
+	dists  []dist.Distribution
+	labels []string
+
+	// Distributions are interned by canonical string; byValue maps
+	// every comparable value already seen to its id, so String runs
+	// once per distinct value rather than once per transition.
+	byString map[string]int32
+	byValue  map[dist.Distribution]int32
 }
 
 // NewBuilder returns a builder for an n-state SMP.
@@ -90,7 +106,19 @@ func NewBuilder(n int) *Builder {
 	if n <= 0 {
 		panic(fmt.Sprintf("smp: non-positive state count %d", n))
 	}
-	return &Builder{n: n, distIdx: make(map[string]int32)}
+	return &Builder{n: n, byString: make(map[string]int32), byValue: make(map[dist.Distribution]int32)}
+}
+
+// EnsureStates raises the state count to at least n, for a generator
+// that adds a state's transitions while it is still discovering states.
+func (b *Builder) EnsureStates(n int) {
+	if n <= b.n {
+		return
+	}
+	b.n = n
+	if b.labels != nil {
+		b.labels = append(b.labels, make([]string, n-len(b.labels))...)
+	}
 }
 
 // SetLabel attaches a diagnostic label to a state.
@@ -101,9 +129,42 @@ func (b *Builder) SetLabel(i int, label string) {
 	b.labels[i] = label
 }
 
+// intern returns d's distribution id. Two distributions are the same
+// when their canonical strings are; a comparable value seen before is
+// found without formatting it. (Equal values have equal strings, save
+// parameters of ±0, which this merges.)
+func (b *Builder) intern(d dist.Distribution) int32 {
+	// Comparable is false for values holding slices, such as a Mixture,
+	// which would panic as map keys; a NaN parameter makes a value
+	// unequal to itself, and it would add a key per transition.
+	keyed := reflect.ValueOf(d).Comparable() && selfEqual(d)
+	if keyed {
+		if id, ok := b.byValue[d]; ok {
+			return id
+		}
+	}
+	key := d.String()
+	id, ok := b.byString[key]
+	if !ok {
+		id = int32(len(b.dists))
+		b.dists = append(b.dists, d)
+		b.byString[key] = id
+	}
+	if keyed {
+		b.byValue[d] = id
+	}
+	return id
+}
+
+// selfEqual reports d == d, false when a parameter is NaN. d must be
+// comparable.
+func selfEqual(d dist.Distribution) bool {
+	e := d
+	return d == e
+}
+
 // Add records a transition from→to with conditional probability prob and
-// sojourn distribution d. Distributions are interned by their canonical
-// string.
+// sojourn distribution d. Distributions are interned (see intern).
 func (b *Builder) Add(from, to int, prob float64, d dist.Distribution) {
 	if from < 0 || from >= b.n || to < 0 || to >= b.n {
 		panic(fmt.Sprintf("smp: transition (%d→%d) outside %d states", from, to, b.n))
@@ -114,17 +175,10 @@ func (b *Builder) Add(from, to int, prob float64, d dist.Distribution) {
 	if d == nil {
 		panic("smp: nil distribution")
 	}
-	key := d.String()
-	id, ok := b.distIdx[key]
-	if !ok {
-		id = int32(len(b.dists))
-		b.dists = append(b.dists, d)
-		b.distIdx[key] = id
-	}
 	b.from = append(b.from, int32(from))
 	b.to = append(b.to, int32(to))
 	b.prob = append(b.prob, prob)
-	b.distID = append(b.distID, id)
+	b.distID = append(b.distID, b.intern(d))
 }
 
 // Build validates and assembles the model. Every state must have

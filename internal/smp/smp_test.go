@@ -138,7 +138,7 @@ func TestEmbeddedDTMCAndSteadyState(t *testing.T) {
 	if got := p.At(1, 0); got != 0.3 {
 		t.Errorf("p_10 = %v, want 0.3", got)
 	}
-	pi, err := dtmc.SteadyState(p, dtmc.Options{})
+	pi, err := dtmc.SteadyStateGS(p, dtmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,16 @@ func (p *Pattern) NewCMatrix() *CMatrix {
 	}
 }
 
+// NewMatrix returns the real matrix over the pattern with values val,
+// one per position in pattern order; the matrix takes ownership of val
+// and shares the structure arrays with the pattern.
+func (p *Pattern) NewMatrix(val []float64) *Matrix {
+	if len(val) != len(p.colIdx) {
+		panic(fmt.Sprintf("sparse: NewMatrix with %d values for %d positions", len(val), len(p.colIdx)))
+	}
+	return &Matrix{rows: p.rows, cols: p.cols, rowPtr: p.rowPtr, colIdx: p.colIdx, val: val}
+}
+
 // RowRange returns the half-open interval [start, end) of value slots
 // occupied by rows [lo, hi) of the pattern — the offsets a caller needs
 // to scatter into a row-block matrix (see NewRowBlock) from indices
