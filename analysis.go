@@ -11,13 +11,12 @@ import (
 
 // Options configures an analysis run. The zero value selects the paper's
 // defaults: Euler inversion (A=18.4, 33 s-points per t-point), one
-// worker, mass-bound truncation at 1e-8, no checkpointing.
+// worker, tail-bound truncation at 1e-8, no checkpointing.
 type Options struct {
-	// Method selects the inverter: "euler" (default), "laguerre",
-	// "talbot" or "auto". The paper's guidance applies — Euler is the
-	// safe choice for densities with discontinuities; Laguerre and
-	// Talbot suit smooth densities (Talbot with the smallest point
-	// budget). "auto" implements §4's selection rule mechanically: it
+	// Method selects the inverter: "euler" (default), "laguerre" or
+	// "auto". The paper's guidance applies — Euler is the safe choice
+	// for densities with discontinuities; Laguerre suits smooth
+	// densities. "auto" implements §4's selection rule mechanically: it
 	// evaluates the Laguerre contour first, accepts the result when the
 	// Laguerre coefficients decay (a smooth original), and falls back to
 	// Euler otherwise.
@@ -62,15 +61,13 @@ func (o *Options) inverter() (lt.Inverter, error) {
 		if e.M == 0 {
 			e = lt.DefaultEuler()
 		}
-		return e, nil
+		return e, e.Validate()
 	case "laguerre":
 		l := o.Laguerre
 		if l.N == 0 {
 			l = lt.DefaultLaguerre()
 		}
-		return l, nil
-	case "talbot":
-		return lt.DefaultTalbot(), nil
+		return l, l.Validate()
 	default:
 		return nil, fmt.Errorf("hydra: unknown inversion method %q", o.Method)
 	}
@@ -178,7 +175,7 @@ func (m *Model) runMulti(q pipeline.Quantity, sourceSets [][]int, targets []int,
 		return nil, fmt.Errorf("hydra: no source sets")
 	}
 	if opts != nil && opts.Method == "auto" {
-		return nil, fmt.Errorf(`hydra: multi-source runs need a concrete inversion method ("euler", "laguerre" or "talbot"), not "auto"`)
+		return nil, fmt.Errorf(`hydra: multi-source runs need a concrete inversion method ("euler" or "laguerre"), not "auto"`)
 	}
 	// Resolve every weighting before solving, so a bad source set fails
 	// the request without spending kernel time.
@@ -223,9 +220,7 @@ func (m *Model) PassageCDF(sources, targets []int, times []float64, opts *Option
 }
 
 // TransientDistribution computes P(Z(t) ∈ targets | Z(0) ∼ sources) via
-// Eq. (7). Its transform is only defined for Re s > 0, so the inverter's
-// contour must stay there: Euler and Laguerre do, and Method "talbot" is
-// rejected before any solve.
+// Eq. (7).
 func (m *Model) TransientDistribution(sources, targets []int, times []float64, opts *Options) (*Result, error) {
 	return m.run(pipeline.TransientDist, sources, targets, times, opts)
 }
@@ -415,6 +410,9 @@ func (m *Model) autoRun(q pipeline.Quantity, sources, targets []int, times []flo
 	lag := opts.Laguerre
 	if lag.N == 0 {
 		lag = lt.DefaultLaguerre()
+	}
+	if err := lag.Validate(); err != nil {
+		return nil, err
 	}
 	lagOpts := *opts
 	lagOpts.Method = "laguerre"

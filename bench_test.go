@@ -179,9 +179,11 @@ func BenchmarkAblationIterativeVsDirect(b *testing.B) {
 
 	b.Run("iterative", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sv.IterativeLST(s, src, targets); err != nil {
+			v, _, err := sv.VectorLST(s, targets)
+			if err != nil {
 				b.Fatal(err)
 			}
+			_ = src.Dot(v)
 			s += 1e-9 // new point defeats the solver's kernel memo
 		}
 	})

@@ -138,7 +138,7 @@ func (m *Model) newSpec(name string, q pipeline.Quantity, targets []int, times [
 		ModelStates: m.NumStates(),
 	}
 	// Contour geometry hint for segment scheduling: inverters whose
-	// contours group s-points into per-t blocks (Euler, Talbot) report
+	// contours group s-points into per-t blocks (Euler) report
 	// the block period, so backends keep warm-start segments inside one
 	// block. Laguerre's single shared contour has no period — hint 0.
 	if pp, ok := inv.(interface{ PointsPerT() int }); ok {
@@ -210,8 +210,14 @@ type VectorRun struct {
 // (if set) is opened for the duration of the run. Passing a persistent
 // cache instead is how a resident service reuses transform evaluations
 // across requests: the run loads every point the cache already holds
-// (reported as Stats.FromCache) and evaluates only the remainder.
+// (reported as Stats.FromCache) and evaluates only the remainder. The
+// spec is validated against the model first, so a hand-built spec with
+// a target out of range or an s-point outside Re s > 0 fails before any
+// solve.
 func (m *Model) RunSpec(spec *SolveSpec, cache Cache, opts *Options) (*VectorRun, error) {
+	if err := spec.Validate(m.NumStates()); err != nil {
+		return nil, err
+	}
 	if cache == nil && opts != nil && opts.CheckpointPath != "" {
 		ckpt, err := pipeline.OpenCheckpoint(opts.CheckpointPath)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"hydra"
 	"hydra/internal/leaktest"
+	"hydra/internal/lt"
 )
 
 const quickSpec = `
@@ -370,47 +371,80 @@ func TestQuantileConsistentWithCDF(t *testing.T) {
 	}
 }
 
-func TestTalbotThroughFacade(t *testing.T) {
-	m, err := hydra.LoadSpec(quickSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := m.Measures()[0]
-	eu, err := m.PassageDensity(ms.Sources, ms.Targets, ms.Times, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := m.PassageDensity(ms.Sources, ms.Targets, ms.Times, &hydra.Options{Method: "talbot"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range eu.Values {
-		if math.Abs(eu.Values[i]-tb.Values[i]) > 1e-6 {
-			t.Errorf("t=%v: euler %v vs talbot %v", eu.Times[i], eu.Values[i], tb.Values[i])
-		}
-	}
-	// Talbot's point budget beats Euler's for this job.
-	if tb.Stats.Evaluated >= eu.Stats.Evaluated {
-		t.Errorf("talbot evaluated %d points, euler %d", tb.Stats.Evaluated, eu.Stats.Evaluated)
-	}
-}
-
 // TestTransientRejectsContourLeavingHalfPlane checks that the facade
-// refuses a transient request on fixed Talbot's contour, part of which
-// lies in Re s < 0 where the renewal series for T*(s) diverges, before
-// any solve — instead of returning NaN values.
+// refuses a spec with an s-point in Re s ≤ 0 — where neither the Eq. (10)
+// series nor the renewal series for T*(s) is guaranteed to converge —
+// before any solve, for passage and transient alike, instead of
+// returning NaN values. "talbot", whose contour left the half-plane, is
+// no longer a method at all.
 func TestTransientRejectsContourLeavingHalfPlane(t *testing.T) {
 	m, err := hydra.LoadSpec(quickSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := []float64{0.5, 2}
-	_, err = m.TransientDistribution([]int{0}, []int{2}, ts, &hydra.Options{Method: "talbot"})
-	if err == nil || !strings.Contains(err.Error(), "Re s ≤ 0") {
-		t.Fatalf("talbot transient: err = %v, want a Re s ≤ 0 rejection", err)
+	passage, err := m.NewPassageSpec("", []int{2}, ts, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transient, err := m.NewTransientSpec("", []int{2}, ts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []*hydra.SolveSpec{passage, transient} {
+		spec.Points[7] = complex(-0.5, 3)
+		vr, err := m.RunSpec(spec, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), "Re s ≤ 0") || !strings.Contains(err.Error(), "s-point 7") {
+			t.Fatalf("%v spec with a left half-plane point: err = %v, want a Re s ≤ 0 rejection naming the point", spec.Quantity, err)
+		}
+		if vr != nil {
+			t.Errorf("%v: rejected spec returned a run", spec.Quantity)
+		}
+	}
+	if _, err := m.TransientDistribution([]int{0}, []int{2}, ts, &hydra.Options{Method: "talbot"}); err == nil ||
+		!strings.Contains(err.Error(), "unknown inversion method") {
+		t.Errorf("talbot transient: err = %v, want an unknown-method error", err)
 	}
 	if _, err := m.TransientDistribution([]int{0}, []int{2}, ts, nil); err != nil {
 		t.Errorf("euler transient on the same model: %v", err)
+	}
+}
+
+// TestInvalidInverterOverrideIsAnError checks that an Euler or Laguerre
+// override with unusable parameters fails the request with a readable
+// error instead of panicking inside the inverter.
+func TestInvalidInverterOverrideIsAnError(t *testing.T) {
+	m, err := hydra.LoadSpec(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		opts *hydra.Options
+	}{
+		{"euler A<0", &hydra.Options{Euler: lt.Euler{A: -1, M: 21, E: 11}}},
+		{"euler A=NaN", &hydra.Options{Euler: lt.Euler{A: math.NaN(), M: 21, E: 11}}},
+		{"euler E<0", &hydra.Options{Method: "euler", Euler: lt.Euler{A: 18.4, M: 21, E: -1}}},
+		{"laguerre Coeffs>N/2", &hydra.Options{Method: "laguerre", Laguerre: lt.Laguerre{N: 40, Coeffs: 30}}},
+		{"laguerre sigma<0", &hydra.Options{Method: "laguerre", Laguerre: lt.Laguerre{N: 400, Coeffs: 200, Sigma: -1}}},
+		{"laguerre R>=1", &hydra.Options{Method: "laguerre", Laguerre: lt.Laguerre{N: 400, Coeffs: 200, R: 1.5}}},
+		{"auto laguerre", &hydra.Options{Method: "auto", Laguerre: lt.Laguerre{N: 2, Coeffs: 1}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				_, err = m.PassageDensity([]int{0}, []int{2}, []float64{1}, c.opts)
+			}()
+			if err == nil || !strings.Contains(err.Error(), "lt: ") {
+				t.Errorf("err = %v, want an lt parameter error", err)
+			}
+		})
 	}
 }
 

@@ -109,9 +109,18 @@ func (e Euler) Invert(ts []float64, values []complex128) ([]float64, error) {
 	return out, nil
 }
 
+// Validate reports whether the parameters describe a usable inverter:
+// a finite A > 0, M ≥ 1 and E ≥ 0.
+func (e Euler) Validate() error {
+	if !(e.A > 0) || math.IsInf(e.A, 1) || e.M < 1 || e.E < 0 {
+		return fmt.Errorf("lt: invalid Euler parameters %+v: need finite A > 0, M ≥ 1, E ≥ 0", e)
+	}
+	return nil
+}
+
 func (e Euler) check() {
-	if !(e.A > 0) || e.M < 1 || e.E < 0 {
-		panic(fmt.Sprintf("lt: invalid Euler parameters %+v", e))
+	if err := e.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 

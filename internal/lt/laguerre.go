@@ -75,12 +75,25 @@ func (l Laguerre) scale(ts []float64) float64 {
 	return c
 }
 
-func (l Laguerre) check() {
+// Validate reports whether the parameters describe a usable inverter:
+// N ≥ 4, 1 ≤ Coeffs ≤ N/2, a radius in [0, 1) (0 is automatic) and a
+// finite damping σ ≥ 0.
+func (l Laguerre) Validate() error {
 	if l.N < 4 || l.Coeffs < 1 || l.Coeffs > l.N/2 {
-		panic(fmt.Sprintf("lt: invalid Laguerre parameters %+v", l))
+		return fmt.Errorf("lt: invalid Laguerre parameters %+v: need N ≥ 4 and 1 ≤ Coeffs ≤ N/2", l)
 	}
-	if l.Sigma < 0 {
-		panic("lt: negative Laguerre damping")
+	if !(l.R >= 0 && l.R < 1) {
+		return fmt.Errorf("lt: Laguerre contour radius %v outside [0, 1)", l.R)
+	}
+	if !(l.Sigma >= 0) || math.IsInf(l.Sigma, 1) {
+		return fmt.Errorf("lt: Laguerre damping %v must be finite and non-negative", l.Sigma)
+	}
+	return nil
+}
+
+func (l Laguerre) check() {
+	if err := l.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 

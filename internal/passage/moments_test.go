@@ -167,7 +167,7 @@ func TestMomentsConsistentWithDensityIntegration(t *testing.T) {
 	pts := inv.Points(ts)
 	vals := make([]complex128, len(pts))
 	for i, s := range pts {
-		v, _, err := sv.IterativeLST(s, SingleSource(0), []int{2})
+		v, err := sv.DirectDenseLST(s, SingleSource(0), []int{2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,41 +30,15 @@ import (
 // Gauss–Seidel baseline exhausts its iteration budget.
 var ErrNoConvergence = errors.New("passage: iteration did not converge")
 
-// Convergence selects the truncation criterion for the Eq. (10) sum.
-type Convergence int
-
-const (
-	// MassBound (default) stops once a geometric tail bound on the
-	// remaining contribution falls below Epsilon. The accumulator's ℓ1
-	// norm ‖acc‖₁ is non-increasing for Re(s) > 0 (every kernel entry
-	// has |u_pq| ≤ p_pq·h*_pq(Re s) < p_pq), every future increment is
-	// bounded by it, and its per-step decay ratio ρ̂ gives the bound
-	// Σ_{k>r} inc_k ≤ ‖acc‖₁·ρ̂/(1−ρ̂). This realises the truncation-
-	// error bound the paper lists as future work and cannot stop early
-	// on long passages whose first increments are zero.
-	MassBound Convergence = iota
-	// PaperIncrement is the literal Eq. (11) criterion: stop when the
-	// real and imaginary parts of the last increment are below Epsilon
-	// for ConsecutiveHits successive transition depths. It is cheaper
-	// per step but can truncate prematurely when mass reaches the
-	// targets only after a long zero prefix; it is retained for the
-	// ablation study.
-	PaperIncrement
-)
-
 // Options tunes the solvers.
 type Options struct {
-	// Epsilon is the convergence bound (default 1e-8); see Convergence
-	// for its exact meaning under each criterion.
+	// Epsilon is the truncation bound of the Eq. (10) sum (default
+	// 1e-8): a solve stops once the geometric tail bound on what the
+	// remaining terms can add falls below it (see convGauge).
 	Epsilon float64
 	// MaxR caps the transition depth r of the iterative sum
 	// (default 1<<20).
 	MaxR int
-	// Criterion selects the truncation rule (default MassBound).
-	Criterion Convergence
-	// ConsecutiveHits is how many successive sub-Epsilon increments the
-	// PaperIncrement criterion requires (default 1, the paper's rule).
-	ConsecutiveHits int
 	// GSEpsilon is the convergence bound of the direct Gauss–Seidel
 	// baseline and of the transient route (default 1e-10). T*(s) keeps
 	// the tighter bound it always had: the Euler sum that inverts it
@@ -114,9 +88,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxR == 0 {
 		o.MaxR = 1 << 20
 	}
-	if o.ConsecutiveHits == 0 {
-		o.ConsecutiveHits = 1
-	}
 	if o.GSEpsilon == 0 {
 		o.GSEpsilon = 1e-10
 	}
@@ -127,10 +98,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Solver evaluates passage-time and transient transforms for one model:
-// the column-form driver behind VectorLST and TransientVectorLST, the
-// row-form IterativeLST, and the direct baselines. It owns reusable
-// workspace buffers and is not safe for concurrent use; create one per
-// worker goroutine.
+// the column-form driver behind VectorLST and TransientVectorLST, and
+// the direct baselines. It owns reusable workspace buffers and is not
+// safe for concurrent use; create one per worker goroutine.
 type Solver struct {
 	m    *smp.Model
 	opts Options
@@ -174,7 +144,7 @@ func (sv *Solver) LastKernelFill() time.Duration { return sv.lastFill }
 
 // LastSweeps returns the depth of the last solve: Gauss–Seidel sweeps
 // for the direct route, series terms or refinement sweeps for the
-// column driver (VectorLST, IterativeVectorLST, TransientVectorLST).
+// column driver (VectorLST, TransientVectorLST).
 // Each unit is one traversal of the kernel.
 func (sv *Solver) LastSweeps() int { return sv.lastSweeps }
 
@@ -252,6 +222,16 @@ func SingleSource(i int) SourceWeights {
 	return SourceWeights{States: []int{i}, Weights: []float64{1}}
 }
 
+// Dot reads a source-indexed transform vector through the weighting:
+// Σ_k α̃_k·v_k, the Eq. (4) combination.
+func (sw SourceWeights) Dot(v []complex128) complex128 {
+	var out complex128
+	for k, i := range sw.States {
+		out += complex(sw.Weights[k], 0) * v[i]
+	}
+	return out
+}
+
 func (sw SourceWeights) validate(n int) error {
 	if len(sw.States) == 0 || len(sw.States) != len(sw.Weights) {
 		return fmt.Errorf("passage: malformed source weights (%d states, %d weights)", len(sw.States), len(sw.Weights))
@@ -273,90 +253,6 @@ func (sw SourceWeights) validate(n int) error {
 		return fmt.Errorf("passage: source weights sum to %v, want 1", sum)
 	}
 	return nil
-}
-
-// IterativeLST computes L_i⃗j⃗(s) by the Eq. (10) accumulator iteration:
-//
-//	L̃ = (α̃U + α̃UU′ + α̃UU′² + …)·e⃗
-//
-// where U′ is U with target rows absorbing and e⃗ indicates the targets.
-// It returns the transform value and the transition depth r at which the
-// truncation criterion (see Convergence) was met.
-func (sv *Solver) IterativeLST(s complex128, src SourceWeights, targets []int) (complex128, int, error) {
-	if err := src.validate(sv.m.N()); err != nil {
-		return 0, 0, err
-	}
-	if err := sv.prepare(s, passageQ, targets); err != nil {
-		return 0, 0, err
-	}
-	// acc ← α̃U.
-	for i := range sv.next {
-		sv.next[i] = 0
-	}
-	for k, i := range src.States {
-		sv.next[i] = complex(src.Weights[k], 0)
-	}
-	sv.u.VecMul(sv.next, sv.acc)
-
-	total := sv.dotTargets(sv.acc)
-	hits := 0
-	prevL1 := math.Inf(1)
-	for r := 1; r <= sv.opts.MaxR; r++ {
-		// acc ← acc·U′ without materialising U′ (target rows skipped).
-		sv.u.VecMulSkipRows(sv.acc, sv.next, sv.targets)
-		sv.acc, sv.next = sv.next, sv.acc
-		inc := sv.dotTargets(sv.acc)
-		total += inc
-		switch sv.opts.Criterion {
-		case PaperIncrement:
-			if math.Abs(real(inc)) < sv.opts.Epsilon && math.Abs(imag(inc)) < sv.opts.Epsilon {
-				hits++
-				if hits >= sv.opts.ConsecutiveHits {
-					return total, r, nil
-				}
-			} else {
-				hits = 0
-			}
-		default: // MassBound
-			l1 := l1Norm(sv.acc)
-			if !finite(l1) {
-				return 0, r, nonFinite(s, r)
-			}
-			if l1 < sv.opts.Epsilon {
-				// Tail ≤ l1·ρ̂/(1−ρ̂) with ρ̂ the observed decay ratio;
-				// require the bound itself below Epsilon.
-				rho := 0.0
-				if prevL1 > 0 && !math.IsInf(prevL1, 1) {
-					rho = l1 / prevL1
-				}
-				if rho < 1 && l1*rho/(1-rho) < sv.opts.Epsilon {
-					return total, r, nil
-				}
-			}
-			prevL1 = l1
-		}
-	}
-	return total, sv.opts.MaxR, fmt.Errorf("%w: %d transitions at s=%v (remaining mass %g)",
-		ErrNoConvergence, sv.opts.MaxR, s, l1Norm(sv.acc))
-}
-
-// l1Norm returns Σ|v_i| (complex magnitudes).
-func l1Norm(v []complex128) float64 {
-	var sum float64
-	for _, c := range v {
-		sum += math.Hypot(real(c), imag(c))
-	}
-	return sum
-}
-
-func (sv *Solver) dotTargets(v []complex128) complex128 {
-	var sum complex128
-	for i, isT := range sv.targets {
-		if isT {
-			sum += v[i]
-		}
-	}
-	return sum
 }
 
 // DirectVectorLST solves the Eq. (2)/(3) linear system
@@ -446,8 +342,8 @@ func (sv *Solver) directVectorSolve(s complex128) ([]complex128, error) {
 	return nil, fmt.Errorf("%w: Gauss–Seidel after %d sweeps at s=%v", ErrNoConvergence, sv.opts.GSMaxIter, s)
 }
 
-// DirectLST is the α̃-weighted scalar form of DirectVectorLST, comparable
-// with IterativeLST.
+// DirectLST is the α̃-weighted scalar form of DirectVectorLST: the
+// Gauss–Seidel oracle for the column driver.
 func (sv *Solver) DirectLST(s complex128, src SourceWeights, targets []int) (complex128, error) {
 	if err := src.validate(sv.m.N()); err != nil {
 		return 0, err
@@ -456,11 +352,7 @@ func (sv *Solver) DirectLST(s complex128, src SourceWeights, targets []int) (com
 	if err != nil {
 		return 0, err
 	}
-	var out complex128
-	for k, i := range src.States {
-		out += complex(src.Weights[k], 0) * x[i]
-	}
-	return out, nil
+	return src.Dot(x), nil
 }
 
 // DirectDenseLST solves the same system by dense Gaussian elimination —
@@ -490,11 +382,7 @@ func (sv *Solver) DirectDenseLST(s complex128, src SourceWeights, targets []int)
 	if err != nil {
 		return 0, err
 	}
-	var out complex128
-	for k, i := range src.States {
-		out += complex(src.Weights[k], 0) * x[i]
-	}
-	return out, nil
+	return src.Dot(x), nil
 }
 
 // ComputeSourceWeights derives the Eq. (5) α̃ vector for a source set

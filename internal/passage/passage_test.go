@@ -30,11 +30,21 @@ func twoCycle(t *testing.T, a, b float64) *smp.Model {
 	return mustModel(t, bd)
 }
 
+// scalarLST reads the column driver's passage vector through one source
+// weighting: the scalar L_i⃗j⃗(s) of Eq. (10), and the depth it took.
+func scalarLST(sv *Solver, s complex128, src SourceWeights, targets []int) (complex128, int, error) {
+	v, r, err := sv.VectorLST(s, targets)
+	if err != nil {
+		return 0, r, err
+	}
+	return src.Dot(v), r, nil
+}
+
 func TestSingleHopPassageIsSojournLST(t *testing.T) {
 	m := twoCycle(t, 2, 3)
 	sv := NewSolver(m, Options{})
 	s := complex128(0.7 + 1.3i)
-	got, r, err := sv.IterativeLST(s, SingleSource(0), []int{1})
+	got, r, err := scalarLST(sv, s, SingleSource(0), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +66,7 @@ func TestChainPassageIsConvolution(t *testing.T) {
 	m := mustModel(t, b)
 	sv := NewSolver(m, Options{})
 	s := complex128(0.4 + 0.9i)
-	got, _, err := sv.IterativeLST(s, SingleSource(0), []int{2})
+	got, _, err := scalarLST(sv, s, SingleSource(0), []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +82,7 @@ func TestCycleTimeUsesInitialUTerm(t *testing.T) {
 	m := twoCycle(t, 2, 3)
 	sv := NewSolver(m, Options{})
 	s := complex128(0.5 + 0.2i)
-	got, _, err := sv.IterativeLST(s, SingleSource(0), []int{0})
+	got, _, err := scalarLST(sv, s, SingleSource(0), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestProbabilisticBranchingPassage(t *testing.T) {
 	m := mustModel(t, b)
 	sv := NewSolver(m, Options{})
 	s := complex128(1.1 - 0.3i)
-	got, _, err := sv.IterativeLST(s, SingleSource(0), []int{1})
+	got, _, err := scalarLST(sv, s, SingleSource(0), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestIterativeMatchesDirectSolvers(t *testing.T) {
 			}
 		}
 		s := complex(0.2+2*r.Float64(), 4*(r.Float64()-0.5))
-		it, _, err := sv.IterativeLST(s, src, targets)
+		it, _, err := scalarLST(sv, s, src, targets)
 		if err != nil {
 			t.Fatalf("trial %d: iterative: %v", trial, err)
 		}
@@ -183,13 +193,13 @@ func TestMultiSourceWeightingIsLinear(t *testing.T) {
 	src := SourceWeights{States: []int{0, 3, 5}, Weights: []float64{0.2, 0.5, 0.3}}
 	targets := []int{6}
 	s := complex128(0.8 + 0.6i)
-	combined, _, err := sv.IterativeLST(s, src, targets)
+	combined, _, err := scalarLST(sv, s, src, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want complex128
 	for k, i := range src.States {
-		li, _, err := sv.IterativeLST(s, SingleSource(i), targets)
+		li, err := sv.DirectDenseLST(s, SingleSource(i), targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +256,7 @@ func TestEndToEndHypoexponentialDensity(t *testing.T) {
 	pts := inv.Points(ts)
 	vals := make([]complex128, len(pts))
 	for i, s := range pts {
-		v, _, err := sv.IterativeLST(s, SingleSource(0), []int{2})
+		v, _, err := scalarLST(sv, s, SingleSource(0), []int{2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +355,7 @@ func TestIterativeNonConvergenceReported(t *testing.T) {
 	b.Add(1, 0, 1, dist.NewExponential(1))
 	m := mustModel(t, b)
 	sv := NewSolver(m, Options{MaxR: 16})
-	_, _, err := sv.IterativeLST(0.01+0.01i, SingleSource(0), []int{1})
+	_, _, err := sv.VectorLST(0.01+0.01i, []int{1})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
 	}
@@ -354,17 +364,17 @@ func TestIterativeNonConvergenceReported(t *testing.T) {
 func TestInputValidation(t *testing.T) {
 	m := twoCycle(t, 1, 1)
 	sv := NewSolver(m, Options{})
-	if _, _, err := sv.IterativeLST(1, SingleSource(0), nil); err == nil {
+	if _, _, err := sv.VectorLST(1, nil); err == nil {
 		t.Error("accepted empty target set")
 	}
-	if _, _, err := sv.IterativeLST(1, SingleSource(9), []int{1}); err == nil {
+	if _, err := sv.DirectLST(1, SingleSource(9), []int{1}); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, _, err := sv.IterativeLST(1, SingleSource(0), []int{7}); err == nil {
+	if _, _, err := sv.VectorLST(1, []int{7}); err == nil {
 		t.Error("accepted out-of-range target")
 	}
 	bad := SourceWeights{States: []int{0, 1}, Weights: []float64{0.2, 0.2}}
-	if _, _, err := sv.IterativeLST(1, bad, []int{1}); err == nil {
+	if _, err := sv.DirectLST(1, bad, []int{1}); err == nil {
 		t.Error("accepted weights not summing to 1")
 	}
 	for _, s := range []complex128{0, -0.5 + 2i, complex(math.NaN(), 0)} {
@@ -383,11 +393,11 @@ func TestKernelMemoisationAcrossCalls(t *testing.T) {
 	m := twoCycle(t, 2, 3)
 	sv := NewSolver(m, Options{})
 	s := complex128(0.4 + 0.1i)
-	l01, _, err := sv.IterativeLST(s, SingleSource(0), []int{1})
+	l01, _, err := scalarLST(sv, s, SingleSource(0), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l00, _, err := sv.IterativeLST(s, SingleSource(0), []int{0})
+	l00, _, err := scalarLST(sv, s, SingleSource(0), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,10 +408,51 @@ func TestKernelMemoisationAcrossCalls(t *testing.T) {
 	}
 }
 
+// paperIncrementLST is the paper's row form of Eq. (10),
+//
+//	L̃ = α̃U·e⃗ + α̃UU′·e⃗ + α̃UU′²·e⃗ + …,
+//
+// under its literal Eq. (11) stopping rule: stop at the first increment
+// whose real and imaginary parts are both below eps. The solvers use the
+// tail-bound rule instead (convGauge); this is the one reproduction of
+// why. It returns the sum and the depth r it stopped at.
+func paperIncrementLST(t *testing.T, sv *Solver, s complex128, src SourceWeights, targets []int, eps float64) (complex128, int) {
+	t.Helper()
+	if err := sv.prepare(s, passageQ, targets); err != nil {
+		t.Fatal(err)
+	}
+	n := sv.m.N()
+	x, acc := make([]complex128, n), make([]complex128, n)
+	for k, i := range src.States {
+		x[i] = complex(src.Weights[k], 0)
+	}
+	sv.u.VecMulSkipRows(x, acc, make([]bool, n)) // α̃U
+	dot := func(v []complex128) complex128 {
+		var sum complex128
+		for _, j := range targets {
+			sum += v[j]
+		}
+		return sum
+	}
+	total := dot(acc)
+	for r := 1; r <= sv.opts.MaxR; r++ {
+		sv.u.VecMulSkipRows(acc, x, sv.targets) // ·U′
+		acc, x = x, acc
+		inc := dot(acc)
+		total += inc
+		if math.Abs(real(inc)) < eps && math.Abs(imag(inc)) < eps {
+			return total, r
+		}
+	}
+	t.Fatalf("Eq. (11) rule did not stop within %d transitions", sv.opts.MaxR)
+	return 0, 0
+}
+
 func TestPaperIncrementCriterionCanTruncateEarly(t *testing.T) {
 	// Ablation evidence: on a passage whose first increments are zero
 	// (target three hops away), the literal Eq. (11) rule stops at r=1
-	// with L=0 while MassBound is exact. This motivates the default.
+	// with L=0 while the tail-bound rule is exact. This motivates the
+	// solvers' rule.
 	b := smp.NewBuilder(4)
 	b.Add(0, 1, 1, dist.NewExponential(1))
 	b.Add(1, 2, 1, dist.NewExponential(1))
@@ -410,44 +461,19 @@ func TestPaperIncrementCriterionCanTruncateEarly(t *testing.T) {
 	m := mustModel(t, b)
 	s := complex128(0.5)
 
-	paper := NewSolver(m, Options{Criterion: PaperIncrement})
-	lp, rp, err := paper.IterativeLST(s, SingleSource(0), []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mass := NewSolver(m, Options{})
-	lm, _, err := mass.IterativeLST(s, SingleSource(0), []int{3})
+	sv := NewSolver(m, Options{})
+	lp, rp := paperIncrementLST(t, sv, s, SingleSource(0), []int{3}, sv.opts.Epsilon)
+	lm, _, err := scalarLST(sv, s, SingleSource(0), []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := dist.NewExponential(1).LST(s)
 	want := e * e * e
 	if cmplx.Abs(lm-want) > 1e-12 {
-		t.Errorf("MassBound L = %v, want %v", lm, want)
+		t.Errorf("tail-bound L = %v, want %v", lm, want)
 	}
 	if lp != 0 || rp != 1 {
 		t.Errorf("expected the paper criterion to truncate at r=1 with 0, got L=%v at r=%d", lp, rp)
-	}
-}
-
-func TestPaperIncrementWithHitsRecoversAccuracy(t *testing.T) {
-	// With enough consecutive hits required, the increment criterion
-	// survives the zero prefix and matches the closed form.
-	b := smp.NewBuilder(4)
-	b.Add(0, 1, 1, dist.NewExponential(1))
-	b.Add(1, 2, 1, dist.NewExponential(1))
-	b.Add(2, 3, 1, dist.NewExponential(1))
-	b.Add(3, 0, 1, dist.NewExponential(1))
-	m := mustModel(t, b)
-	s := complex128(0.5)
-	sv := NewSolver(m, Options{Criterion: PaperIncrement, ConsecutiveHits: 8})
-	got, _, err := sv.IterativeLST(s, SingleSource(0), []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := dist.NewExponential(1).LST(s)
-	if cmplx.Abs(got-e*e*e) > 1e-8 {
-		t.Errorf("L = %v, want %v", got, e*e*e)
 	}
 }
 

@@ -848,7 +848,7 @@ func (ss *ShardSession) solvePoint(s complex128, warm bool) ([]complex128, int, 
 			return nil, 0, err
 		}
 	}
-	gauge := newShardGauge(ss.opts)
+	gauge := newConvGauge(ss.opts.Epsilon)
 	planner := newInnerPlanner(ss.tuning.InnerSweeps, ss.opts.Epsilon)
 	norms := make([]float64, len(ss.members))
 	bounds := make([][]complex128, len(ss.members))

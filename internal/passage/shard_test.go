@@ -38,7 +38,7 @@ func randomTargets(r *rand.Rand, n int) []int {
 
 // TestShardedMatchesMonolithicCold is the core differential property:
 // with warm starts off, a sharded solve over any partition count must
-// reproduce the monolithic IterativeVectorLST — and because the sharded
+// reproduce the monolithic cold VectorLST — and because the sharded
 // sweep performs the identical arithmetic in the identical order, the
 // agreement is far inside solver tolerance.
 func TestShardedMatchesMonolithicCold(t *testing.T) {
@@ -51,7 +51,7 @@ func TestShardedMatchesMonolithicCold(t *testing.T) {
 		mono := NewSolver(m, Options{})
 		want := make([][]complex128, len(points))
 		for i, s := range points {
-			v, _, err := mono.IterativeVectorLST(s, targets)
+			v, _, err := mono.VectorLST(s, targets)
 			if err != nil {
 				t.Fatalf("trial %d: monolithic: %v", trial, err)
 			}
@@ -154,37 +154,6 @@ func TestShardedSegmentBoundariesRestartCold(t *testing.T) {
 	}
 }
 
-// TestShardedPaperIncrementCriterion checks the differential property
-// holds under the alternative truncation rule too — the shared gauge
-// must count consecutive hits identically on both sides.
-func TestShardedPaperIncrementCriterion(t *testing.T) {
-	r := rand.New(rand.NewSource(642))
-	n := 12
-	m := randomSMP(r, n)
-	targets := []int{5}
-	points := contourPoints(r, 3)
-	opts := Options{Criterion: PaperIncrement, ConsecutiveHits: 3}
-	mono := NewSolver(m, opts)
-	for i, s := range points {
-		want, wantR, err := mono.IterativeVectorLST(s, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := SolveSharded(m, opts, 2, targets, points[i:i+1], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(stats.Sweeps) != wantR {
-			t.Errorf("point %d: sharded stopped after %d sweeps, monolithic after %d", i, stats.Sweeps, wantR)
-		}
-		for j := 0; j < n; j++ {
-			if d := cmplx.Abs(got[0][j] - want[j]); d > 1e-12 {
-				t.Errorf("point %d state %d: %v vs %v", i, j, got[0][j], want[j])
-			}
-		}
-	}
-}
-
 // TestShardSessionRejectsBadTilings pins the session's validation: gaps,
 // overlaps and short coverage are structural errors, not silent wrong
 // answers.
@@ -227,7 +196,7 @@ func TestShardBlocksDriveSession(t *testing.T) {
 	}
 	mono := NewSolver(m, Options{})
 	s := complex(0.8, 0.3)
-	want, _, err := mono.IterativeVectorLST(s, targets)
+	want, _, err := mono.VectorLST(s, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestShardedPlannedMatchesMonolithicCold(t *testing.T) {
 		mono := NewSolver(m, opts)
 		want := make([][]complex128, len(points))
 		for i, s := range points {
-			v, _, err := mono.IterativeVectorLST(s, targets)
+			v, _, err := mono.VectorLST(s, targets)
 			if err != nil {
 				t.Fatalf("trial %d: monolithic: %v", trial, err)
 			}

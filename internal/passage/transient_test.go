@@ -137,7 +137,7 @@ func TestWarmStartAlternatesPassageAndTransient(t *testing.T) {
 		}
 	}
 	for _, s := range contour(0.5, 10) {
-		wantL, _, err := cold.IterativeVectorLST(s, targets)
+		wantL, _, err := cold.VectorLST(s, targets)
 		if err != nil {
 			t.Fatal(err)
 		}

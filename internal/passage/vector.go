@@ -23,9 +23,12 @@ import (
 //
 // Every |A| row sum is at most h*_i(Re s) < 1 for Re(s) > 0, so the
 // Neumann series b + A·b + A²·b + … converges there, and the max norm of
-// its last increment bounds what the remaining terms can add — the role
-// the ℓ1 norm plays in the row iteration. One convGauge judges the cold
-// series and the warm refinement alike.
+// its last increment bounds what the remaining terms can add. One
+// convGauge judges the cold series and the warm refinement alike.
+//
+// The paper's row form, L̃ = (α̃U + α̃UU′ + α̃UU′² + …)·e⃗, is the same
+// sum read through one source weighting: SourceWeights.Dot of the column
+// answer gives it for any α̃.
 
 // VectorLST computes the source-indexed passage vector L_·j⃗(s). With
 // WarmStart off (or on the first point of a segment) it sums the Eq. (10)
@@ -45,28 +48,6 @@ func (sv *Solver) VectorLST(s complex128, targets []int) ([]complex128, int, err
 		return nil, r, err
 	}
 	return sv.closePassage(z, warm), r, nil
-}
-
-// IterativeVectorLST computes the same vector by the cold series alone,
-//
-//	L_·j⃗(s) = (U + UU′ + UU′² + …)·e⃗
-//
-// propagating the target-indicator column e⃗ backwards through U′. One
-// run costs the same as a single-source IterativeLST (one sparse product
-// per transition depth) yet yields L_ij⃗(s) for every source state i at
-// once, which is how the paper's algorithm serves all sources in one
-// sweep over U(s). It returns the vector and the transition depth r at
-// which the truncation criterion (see Convergence) was met. With
-// WarmStart on, the converged sum still seeds the next VectorLST.
-func (sv *Solver) IterativeVectorLST(s complex128, targets []int) ([]complex128, int, error) {
-	if err := sv.preparePassage(s, targets); err != nil {
-		return nil, 0, err
-	}
-	z, r, err := sv.series(s)
-	if err != nil {
-		return nil, r, err
-	}
-	return sv.closePassage(z, false), r, nil
 }
 
 // preparePassage selects the passage entry for targets at s and sets
@@ -133,7 +114,7 @@ func (sv *Solver) fixedPoint(s complex128) ([]complex128, int, bool, error) {
 func (sv *Solver) series(s complex128) ([]complex128, int, error) {
 	z := append([]complex128(nil), sv.rhs...)
 	copy(sv.acc, sv.rhs)
-	gauge := newConvGauge(sv.opts, sv.tol)
+	gauge := newConvGauge(sv.tol)
 	for r := 1; r <= sv.opts.MaxR; r++ {
 		sv.u.MulVecSkipRows(sv.acc, sv.next, sv.absorb)
 		sv.acc, sv.next = sv.next, sv.acc
@@ -144,7 +125,7 @@ func (sv *Solver) series(s complex128) ([]complex128, int, error) {
 		if !finite(m) {
 			return nil, r, nonFinite(s, r)
 		}
-		if gauge.converged(m) {
+		if gauge.converged(m, 1) {
 			sv.settle(z, r, false)
 			return z, r, nil
 		}
@@ -179,7 +160,7 @@ func (sv *Solver) refine(s complex128) ([]complex128, int, error) {
 	default:
 		copy(x, p.dirZ)
 	}
-	gauge := newConvGauge(sv.opts, sv.tol)
+	gauge := newConvGauge(sv.tol)
 	for r := 1; r <= sv.opts.MaxR; r++ {
 		sv.u.MulVecSkipRows(x, y, sv.absorb)
 		for i, isT := range sv.targets {
@@ -198,7 +179,7 @@ func (sv *Solver) refine(s complex128) ([]complex128, int, error) {
 			sv.staleSeed()
 			return nil, r, nonFinite(s, r)
 		}
-		if gauge.converged(m) {
+		if gauge.converged(m, 1) {
 			sv.acc, sv.next = x, y
 			sv.settle(x, r, true)
 			return x, r, nil

@@ -13,8 +13,8 @@ import (
 
 // TestIterativeVectorMatchesPerSource is the solver-equivalence
 // property the vector engine rests on: on random models, the full
-// source-indexed vector from one column iteration agrees with a
-// separate scalar IterativeLST per source state.
+// source-indexed vector from one cold column iteration agrees with a
+// separate dense-elimination solve per source state.
 func TestIterativeVectorMatchesPerSource(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 25; trial++ {
@@ -32,7 +32,7 @@ func TestIterativeVectorMatchesPerSource(t *testing.T) {
 			}
 		}
 		s := complex(0.2+2*r.Float64(), 4*(r.Float64()-0.5))
-		vec, _, err := sv.IterativeVectorLST(s, targets)
+		vec, _, err := sv.VectorLST(s, targets)
 		if err != nil {
 			t.Fatalf("trial %d: vector: %v", trial, err)
 		}
@@ -40,40 +40,13 @@ func TestIterativeVectorMatchesPerSource(t *testing.T) {
 			t.Fatalf("trial %d: vector length %d, want %d", trial, len(vec), n)
 		}
 		for i := 0; i < n; i++ {
-			want, _, err := sv.IterativeLST(s, SingleSource(i), targets)
+			want, err := sv.DirectDenseLST(s, SingleSource(i), targets)
 			if err != nil {
-				t.Fatalf("trial %d source %d: scalar: %v", trial, i, err)
+				t.Fatalf("trial %d source %d: dense: %v", trial, i, err)
 			}
 			if cmplx.Abs(vec[i]-want) > 1e-6 {
-				t.Errorf("trial %d: L_%d = %v (vector) vs %v (scalar), diff %g",
+				t.Errorf("trial %d: L_%d = %v (vector) vs %v (dense), diff %g",
 					trial, i, vec[i], want, cmplx.Abs(vec[i]-want))
-			}
-		}
-	}
-}
-
-// TestIterativeVectorPaperIncrementCriterion runs the same equivalence
-// under the literal Eq. (11) truncation rule, since the vector
-// iteration implements both criteria.
-func TestIterativeVectorPaperIncrementCriterion(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		n := 3 + r.Intn(8)
-		m := randomSMP(r, n)
-		sv := NewSolver(m, Options{Criterion: PaperIncrement, ConsecutiveHits: 3})
-		targets := []int{r.Intn(n)}
-		s := complex(0.3+r.Float64(), 2*(r.Float64()-0.5))
-		vec, _, err := sv.IterativeVectorLST(s, targets)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := 0; i < n; i++ {
-			want, _, err := sv.IterativeLST(s, SingleSource(i), targets)
-			if err != nil {
-				t.Fatalf("trial %d source %d: %v", trial, i, err)
-			}
-			if cmplx.Abs(vec[i]-want) > 1e-5 {
-				t.Errorf("trial %d: L_%d = %v vs %v", trial, i, vec[i], want)
 			}
 		}
 	}
@@ -112,10 +85,6 @@ func TestNonFiniteIncrementIsAnError(t *testing.T) {
 
 	v, r, err := NewSolver(m, Options{}).VectorLST(bad, targets)
 	check("series", v, r, err)
-	v, r, err = NewSolver(m, Options{}).IterativeVectorLST(bad, targets)
-	check("iterative series", v, r, err)
-	_, r, err = NewSolver(m, Options{}).IterativeLST(bad, SourceWeights{States: []int{0}, Weights: []float64{1}}, targets)
-	check("row iteration", nil, r, err)
 
 	warm := NewSolver(m, Options{WarmStart: true})
 	if _, _, err := warm.VectorLST(1, targets); err != nil {

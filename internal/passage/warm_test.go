@@ -32,7 +32,7 @@ func TestWarmStartMatchesColdWithinTolerance(t *testing.T) {
 		warm := NewSolver(m, Options{WarmStart: true})
 
 		for _, s := range contour(0.4+r.Float64(), 12) {
-			want, _, err := cold.IterativeVectorLST(s, targets)
+			want, _, err := cold.VectorLST(s, targets)
 			if err != nil {
 				t.Fatalf("trial %d: cold: %v", trial, err)
 			}
@@ -83,7 +83,7 @@ func TestWarmStartSeparatesTargetSets(t *testing.T) {
 	pts := contour(0.6, 6)
 	for _, s := range pts {
 		for _, targets := range [][]int{{1}, {3, 5}} {
-			want, _, err := cold.IterativeVectorLST(s, targets)
+			want, _, err := cold.VectorLST(s, targets)
 			if err != nil {
 				t.Fatal(err)
 			}

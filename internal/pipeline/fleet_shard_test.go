@@ -183,7 +183,7 @@ func TestFleetShardFaultReshard(t *testing.T) {
 	mono := passage.NewSolver(m, opts)
 	want := make([][]complex128, len(points))
 	for i, s := range points {
-		v, _, err := mono.IterativeVectorLST(s, spec.Targets)
+		v, _, err := mono.VectorLST(s, spec.Targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestFleetShardDeadConnAtRecruitRetries(t *testing.T) {
 	mono := passage.NewSolver(m, opts)
 	want := make([][]complex128, len(points))
 	for i, s := range points {
-		v, _, err := mono.IterativeVectorLST(s, spec.Targets)
+		v, _, err := mono.VectorLST(s, spec.Targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestFleetShardNoCapableWorker(t *testing.T) {
 	}
 	mono := passage.NewSolver(m, passage.Options{})
 	for i, s := range job.Points {
-		want, _, err := mono.IterativeVectorLST(s, job.Targets)
+		want, _, err := mono.VectorLST(s, job.Targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestFleetShardBatchedFaultReshard(t *testing.T) {
 	mono := passage.NewSolver(m, passage.Options{Epsilon: 1e-13})
 	want := make([][]complex128, len(points))
 	for i, s := range points {
-		v, _, err := mono.IterativeVectorLST(s, spec.Targets)
+		v, _, err := mono.VectorLST(s, spec.Targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +542,7 @@ func TestFleetShardSurplusMembersReleased(t *testing.T) {
 	}
 	mono := passage.NewSolver(m, opts)
 	for i, s := range spec.Points {
-		want, _, err := mono.IterativeVectorLST(s, spec.Targets)
+		want, _, err := mono.VectorLST(s, spec.Targets)
 		if err != nil {
 			t.Fatal(err)
 		}

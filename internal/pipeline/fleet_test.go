@@ -444,6 +444,54 @@ func TestFleetEvalErrorIsStructured(t *testing.T) {
 	}
 }
 
+// leftPlaneProbe evaluates like a healthy solver but records any point
+// it is handed outside Re s > 0.
+type leftPlaneProbe struct {
+	*SolverEvaluator
+	reached atomic.Int32
+}
+
+func (p *leftPlaneProbe) EvaluateVector(s complex128, spec *SolveSpec) ([]complex128, error) {
+	if !(real(s) > 0) {
+		p.reached.Add(1)
+	}
+	return p.SolverEvaluator.EvaluateVector(s, spec)
+}
+
+// TestFleetWorkerRejectsLeftHalfPlanePoint checks the worker side of
+// the half-plane guard: a spec that skipped SolveSpec.Validate (here
+// handed to Fleet.Execute directly) still cannot put a solve at a point
+// with Re s ≤ 0 — the worker answers that point with an error naming it
+// and never evaluates it.
+func TestFleetWorkerRejectsLeftHalfPlanePoint(t *testing.T) {
+	m := testModel(t)
+	const fp = "fp-halfplane"
+	fleet := testFleet(t, FleetOptions{BatchSize: 4})
+	probe := &leftPlaneProbe{SolverEvaluator: NewSolverEvaluator(m, passage.Options{})}
+	done := make(chan error, 1)
+	go func() {
+		done <- FleetWork(fleet.Addr().String(), []WorkerModel{{
+			Fingerprint: fp, States: m.N(), Evaluator: probe,
+		}}, WorkerOptions{Name: "guarded"})
+	}()
+	waitForWorkers(t, fleet, 1)
+
+	job := fleetJob(m, fp, []float64{0.5})
+	job.Points[2] = complex(-0.5, 3)
+	_, _, err := fleet.Execute(job.Spec(), nil)
+	var pe *PointError
+	if !errors.As(err, &pe) || pe.Index != 2 || !strings.Contains(pe.Msg, "Re s ≤ 0") {
+		t.Fatalf("Execute error = %v, want a *PointError at index 2 naming Re s ≤ 0", err)
+	}
+	if n := probe.reached.Load(); n != 0 {
+		t.Errorf("the evaluator was handed %d left half-plane points", n)
+	}
+	fleet.Close()
+	if err := <-done; err != nil {
+		t.Errorf("worker: %v", err)
+	}
+}
+
 // TestFleetExecuteAfterCloseFails pins the terminal state.
 func TestFleetExecuteAfterCloseFails(t *testing.T) {
 	m := testModel(t)

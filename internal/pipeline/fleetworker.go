@@ -374,6 +374,13 @@ func (w *fleetWorker) handleBatch(a assignBatchMsg) error {
 	var depth, warmStarts, sweepsSaved int64
 	out := frameStream{send: w.send, runID: a.RunID, budget: w.frameValues}
 	for i, idx := range a.Indices {
+		if err := checkPoint(wr.spec.Quantity, idx, a.Points[i]); err != nil {
+			workerPointErrors.Inc()
+			if serr := out.sendError(idx, err.Error()); serr != nil {
+				return serr
+			}
+			continue
+		}
 		vec, err := wr.eval.EvaluateVector(a.Points[i], wr.spec)
 		if reporter != nil {
 			fill, solve, d := reporter.LastPhases()

@@ -112,9 +112,11 @@ type SolveSpec struct {
 	ShardHint int
 }
 
-// Validate performs structural checks against a model size. A transient
-// spec must also keep every s-point in Re s > 0: the renewal series
-// behind T*(s) diverges elsewhere, which fixed Talbot contours reach.
+// Validate performs structural checks against a model size, and keeps
+// every s-point in Re s > 0: the Eq. (10) series and the renewal series
+// behind T*(s) are only guaranteed to converge there. Model.RunSpec
+// validates every spec before it reaches a backend, and a fleet worker
+// applies the same point check to each assignment it receives.
 func (sp *SolveSpec) Validate(n int) error {
 	if len(sp.Targets) == 0 {
 		return fmt.Errorf("pipeline: empty target set")
@@ -127,12 +129,18 @@ func (sp *SolveSpec) Validate(n int) error {
 	if len(sp.Points) == 0 {
 		return fmt.Errorf("pipeline: no s-points")
 	}
-	if sp.Quantity == TransientDist {
-		for i, s := range sp.Points {
-			if !(real(s) > 0) {
-				return fmt.Errorf("pipeline: transient s-point %d (%v) has Re s ≤ 0, where the renewal series for T*(s) diverges; use an inverter whose contour stays in Re s > 0 (euler or laguerre)", i, s)
-			}
+	for i, s := range sp.Points {
+		if err := checkPoint(sp.Quantity, i, s); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// checkPoint rejects an s-point outside Re s > 0, naming it.
+func checkPoint(q Quantity, i int, s complex128) error {
+	if !(real(s) > 0) {
+		return fmt.Errorf("pipeline: %s s-point %d (%v) has Re s ≤ 0, where the transform's series may diverge; use an inverter whose contour stays in Re s > 0 (euler or laguerre)", q, i, s)
 	}
 	return nil
 }

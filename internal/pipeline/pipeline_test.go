@@ -277,16 +277,14 @@ func TestJobValidate(t *testing.T) {
 	if bad.Validate(m.N()) == nil {
 		t.Error("no points accepted")
 	}
-	// The transient renewal series needs Re s > 0 at every point; passage
-	// specs are not restricted.
+	// Every quantity's series needs Re s > 0 at every point.
 	bad = *job
 	bad.Points = append([]complex128{1 + 1i, -0.5 + 3i}, job.Points...)
-	if err := bad.Validate(m.N()); err != nil {
-		t.Errorf("passage spec with a Re s < 0 point rejected: %v", err)
-	}
-	bad.Quantity = TransientDist
-	if err := bad.Validate(m.N()); err == nil || !strings.Contains(err.Error(), "s-point 1") {
-		t.Errorf("transient spec with a Re s < 0 point: err = %v, want it to name s-point 1", err)
+	for _, q := range []Quantity{PassageDensity, PassageCDF, TransientDist} {
+		bad.Quantity = q
+		if err := bad.Validate(m.N()); err == nil || !strings.Contains(err.Error(), "s-point 1") {
+			t.Errorf("%v spec with a Re s < 0 point: err = %v, want it to name s-point 1", q, err)
+		}
 	}
 }
 
@@ -307,9 +305,9 @@ func TestQuantityEvaluatorsAgreeWithSolver(t *testing.T) {
 		var want complex128
 		switch q {
 		case PassageDensity:
-			want, _, err = sv.IterativeLST(s, src, []int{2})
+			want, err = sv.DirectDenseLST(s, src, []int{2})
 		case PassageCDF:
-			want, _, err = sv.IterativeLST(s, src, []int{2})
+			want, err = sv.DirectDenseLST(s, src, []int{2})
 			want /= s
 		case TransientDist:
 			var vec []complex128

@@ -231,7 +231,7 @@ func readJSON(r *http.Request, v any) error {
 // should never pay a cold build.
 type prewarmJSON struct {
 	Targets []int  `json:"targets"`
-	Method  string `json:"method,omitempty"` // euler (default) | laguerre | talbot
+	Method  string `json:"method,omitempty"` // euler (default) | laguerre
 }
 
 // modelRequest uploads a model: exactly one of Spec, Voting or
@@ -357,7 +357,7 @@ type curveRequest struct {
 	Targets []int     `json:"targets"`
 	Times   []float64 `json:"times"`
 	CDF     bool      `json:"cdf,omitempty"`    // passage only: invert L(s)/s
-	Method  string    `json:"method,omitempty"` // euler (default) | laguerre | talbot
+	Method  string    `json:"method,omitempty"` // euler (default) | laguerre
 	Workers int       `json:"workers,omitempty"`
 }
 
@@ -395,7 +395,7 @@ type batchRequest struct {
 	Targets    []int     `json:"targets"`
 	Times      []float64 `json:"times"`
 	CDF        bool      `json:"cdf,omitempty"`    // passage only: invert L(s)/s
-	Method     string    `json:"method,omitempty"` // euler (default) | laguerre | talbot
+	Method     string    `json:"method,omitempty"` // euler (default) | laguerre
 	Workers    int       `json:"workers,omitempty"`
 }
 

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hydra"
 )
 
 // twoStateSpec is a single exponential hop with a return edge:
@@ -280,26 +282,75 @@ func TestTransientEndpoint(t *testing.T) {
 	}
 }
 
-// TestTransientEndpointRejectsTalbot checks that a transient request
-// whose inverter contour leaves Re s > 0 is a 400 naming the offending
-// point, not a 200 with NaN values: fixed Talbot contours dip into the
-// left half-plane, where the renewal series for T*(s) diverges.
+// TestTransientEndpointRejectsTalbot checks the half-plane guard behind
+// every served solve: a spec with an s-point in Re s ≤ 0 — passage or
+// transient — is refused by Model.RunSpec, naming the point, before any
+// solve, instead of coming back as NaN values. Fixed Talbot contours
+// reached that half-plane; "talbot" itself is now an unknown method
+// (see TestUnknownMethodIsBadRequestEverywhere).
 func TestTransientEndpointRejectsTalbot(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	info := uploadSpec(t, ts.URL, "hop", twoStateSpec)
-	url := fmt.Sprintf("%s/v1/models/%s/transient", ts.URL, info.ID)
-	var rec JobRecord
-	code := doJSON(t, "POST", url, map[string]any{
-		"sources": []int{0}, "targets": []int{1}, "times": []float64{2, 8}, "method": "talbot",
-	}, &rec)
-	if code != http.StatusBadRequest {
-		t.Fatalf("talbot transient request returned %d, want 400: %+v", code, rec)
+	m, _, ok := srv.Registry().Get(info.ID)
+	if !ok {
+		t.Fatal("uploaded model is not resident")
 	}
-	if !strings.Contains(rec.Error, "Re s ≤ 0") || !strings.Contains(rec.Error, "s-point") {
-		t.Errorf("error %q does not name the point and the reason", rec.Error)
+	times := []float64{2, 8}
+	passage, err := m.NewPassageSpec("", []int{1}, times, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transient, err := m.NewTransientSpec("", []int{1}, times, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []*hydra.SolveSpec{passage, transient} {
+		spec.Points[3] = complex(-0.25, 2)
+		_, err := m.RunSpec(spec, srv.cache.Pipeline(), nil)
+		if err == nil || !strings.Contains(err.Error(), "Re s ≤ 0") || !strings.Contains(err.Error(), "s-point 3") {
+			t.Errorf("%v spec: err = %v, want a Re s ≤ 0 rejection naming the point", spec.Quantity, err)
+		}
 	}
 	if n := srv.Scheduler().Stats().ComputedPoints; n != 0 {
-		t.Errorf("rejected request computed %d points", n)
+		t.Errorf("rejected specs computed %d points", n)
+	}
+}
+
+// TestUnknownMethodIsBadRequestEverywhere sends a request the solve
+// cannot take — "method": "talbot", no longer an inverter, or a target
+// outside the model — to every /v1 solve endpoint, and a prewarm with
+// the same method: each must be refused as an invalid request (a 400)
+// without computing a single point.
+func TestUnknownMethodIsBadRequestEverywhere(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	info := uploadSpec(t, ts.URL, "chain", threeStateSpec)
+	base := ts.URL + "/v1/models/" + info.ID
+	queries := []map[string]any{{"sources": []int{0}, "p": 0.5}}
+	cases := []struct {
+		name, path string
+		body       map[string]any
+	}{
+		{"passage", "/passage", map[string]any{"sources": []int{0}, "targets": []int{2}, "times": []float64{1, 2}, "method": "talbot"}},
+		{"passage cdf", "/passage", map[string]any{"sources": []int{0}, "targets": []int{2}, "times": []float64{1}, "cdf": true, "method": "talbot"}},
+		{"transient", "/transient", map[string]any{"sources": []int{0}, "targets": []int{2}, "times": []float64{1, 2}, "method": "talbot"}},
+		{"batch", "/batch", map[string]any{"source_sets": [][]int{{0}, {1}}, "targets": []int{2}, "times": []float64{1}, "method": "talbot"}},
+		{"quantile", "/quantile", map[string]any{"sources": []int{0}, "targets": []int{2}, "p": 0.5, "method": "talbot"}},
+		{"batched quantile", "/quantile", map[string]any{"queries": queries, "targets": []int{2}, "method": "talbot"}},
+		{"batched quantile bad target", "/quantile", map[string]any{"queries": queries, "targets": []int{7}}},
+	}
+	for _, c := range cases {
+		var rec JobRecord
+		code := doJSON(t, "POST", base+c.path, c.body, &rec)
+		if code != http.StatusBadRequest || rec.ErrorKind != ErrInvalidRequest {
+			t.Errorf("%s: returned %d (error_kind %q, error %q), want 400 invalid_request", c.name, code, rec.ErrorKind, rec.Error)
+		}
+	}
+	m, _, _ := srv.Registry().Get(info.ID)
+	if rec := srv.Scheduler().PrewarmSurface(m, info.ID, []int{2}, "talbot", 0, ""); rec.ErrorKind != ErrInvalidRequest {
+		t.Errorf("prewarm: status %v, error_kind %q (%s), want invalid_request", rec.Status, rec.ErrorKind, rec.Error)
+	}
+	if n := srv.Scheduler().Stats().ComputedPoints; n != 0 {
+		t.Errorf("rejected requests computed %d points", n)
 	}
 }
 

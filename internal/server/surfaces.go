@@ -98,13 +98,7 @@ func (s *Scheduler) surface(m *hydra.Model, modelID string, targets []int, metho
 	}
 	s.mu.Unlock()
 
-	opts := s.jobOptions(method, workers)
-	// Surfaces are built from concrete-method grid runs; "auto" would
-	// re-select the inverter per stage. Default to Euler, the paper's
-	// discontinuity-safe choice.
-	if opts.Method == "" || opts.Method == "auto" {
-		opts.Method = "euler"
-	}
+	opts := s.surfaceOptions(method, workers)
 	name := modelID + ":passage-cdf"
 
 	val, coalesced, err := s.runShared("surface|"+fp,
@@ -134,6 +128,28 @@ func (s *Scheduler) surface(m *hydra.Model, modelID string, targets []int, metho
 	return val.(*hydra.Surface), coalesced, false, nil
 }
 
+// surfaceOptions is jobOptions for a surface build. Surfaces are built
+// from concrete-method grid runs; "auto" would re-select the inverter
+// per stage, so it and the default become Euler, the paper's
+// discontinuity-safe choice.
+func (s *Scheduler) surfaceOptions(method string, workers int) *hydra.Options {
+	opts := s.jobOptions(method, workers)
+	if opts.Method == "" || opts.Method == "auto" {
+		opts.Method = "euler"
+	}
+	return opts
+}
+
+// checkSurface rejects what a surface build would fail on for the
+// request's sake — an unknown or invalid method, a bad target set —
+// before the build's flight, so the failure is a 400 and never occupies
+// a computation slot. It builds the one-point spec a single quantile
+// request validates (see RunQuantile).
+func (s *Scheduler) checkSurface(m *hydra.Model, modelID string, targets []int, method string) error {
+	_, err := buildSpec(m, modelID, "passage-cdf", targets, []float64{1}, s.surfaceOptions(method, 0))
+	return err
+}
+
 // RunQuantileBatch answers many (sources, p) quantile queries against
 // one target set from a single resident surface: the first request for
 // a (model, targets, method) triple pays the adaptive-grid build, every
@@ -157,6 +173,10 @@ func (s *Scheduler) RunQuantileBatch(m *hydra.Model, modelID string, queries []h
 			s.finish(rec, nil, false, false, fmt.Errorf("query %d: %w", i, err), ErrInvalidRequest)
 			return rec
 		}
+	}
+	if err := s.checkSurface(m, modelID, targets, method); err != nil {
+		s.finish(rec, nil, false, false, err, ErrInvalidRequest)
+		return rec
 	}
 	surf, coalesced, hit, err := s.surface(m, modelID, targets, method, workers, reqID)
 	if err != nil {
@@ -187,8 +207,8 @@ func (s *Scheduler) RunQuantileBatch(m *hydra.Model, modelID string, queries []h
 // prewarm racing a live request coalesces instead of solving twice.
 func (s *Scheduler) PrewarmSurface(m *hydra.Model, modelID string, targets []int, method string, workers int, reqID string) *JobRecord {
 	rec := s.newRecord(modelID, "surface-prewarm", surfaceFingerprint(modelID, targets, method), reqID)
-	if len(targets) == 0 {
-		s.finish(rec, nil, false, false, fmt.Errorf("prewarm needs a target set"), ErrInvalidRequest)
+	if err := s.checkSurface(m, modelID, targets, method); err != nil {
+		s.finish(rec, nil, false, false, err, ErrInvalidRequest)
 		return rec
 	}
 	surf, coalesced, hit, err := s.surface(m, modelID, targets, method, workers, reqID)

@@ -120,7 +120,7 @@ func TestSimulationValidatesAnalyticPipeline(t *testing.T) {
 	pts := inv.Points(ts)
 	vals := make([]complex128, len(pts))
 	for i, sp := range pts {
-		v, _, err := sv.IterativeLST(sp, passage.SingleSource(0), []int{3})
+		v, err := sv.DirectDenseLST(sp, passage.SingleSource(0), []int{3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,50 +67,15 @@ func (m *CMatrix) MulVec(x, y []complex128) {
 	}
 }
 
-// VecMul computes y = x·M, the product of a row vector with the matrix.
-// This is the core kernel of the Eq. (10) accumulator iteration.
-func (m *CMatrix) VecMul(x, y []complex128) {
-	if len(x) != m.rows || len(y) != m.cols {
-		panic(fmt.Sprintf("sparse: CMatrix.VecMul dims %dx%d with |x|=%d |y|=%d", m.rows, m.cols, len(x), len(y)))
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			y[m.colIdx[k]] += xi * m.val[k]
-		}
-	}
-}
-
 // MulVecSkipRows computes y = M′·x where M′ is M with every flagged row
 // zeroed: y_i = 0 for skipped rows, the ordinary row product otherwise.
-// This is the column-form counterpart of VecMulSkipRows — the kernel of
-// the all-sources iteration, which propagates a target-indicator column
-// backwards through U′ instead of a source row forwards.
+// This is the kernel of the column-form Eq. (10) iteration, which
+// propagates a target-indicator column backwards through U′.
 func (m *CMatrix) MulVecSkipRows(x, y []complex128, skip []bool) {
 	if len(x) != m.cols || len(y) != m.rows || len(skip) != m.rows {
 		panic("sparse: CMatrix.MulVecSkipRows dimension mismatch")
 	}
-	m.MulVecSkipRowsRange(x, y, skip, 0, m.rows)
-}
-
-// MulVecSkipRowsRange computes rows [lo, hi) of M′·x into y (fully
-// overwriting that range). Unlike the row-vector form, output rows are
-// independent, so partitioned workers write disjoint ranges of y
-// directly with no reduction step.
-func (m *CMatrix) MulVecSkipRowsRange(x, y []complex128, skip []bool, lo, hi int) {
-	if len(x) != m.cols || len(y) != m.rows || len(skip) != m.rows {
-		panic("sparse: CMatrix.MulVecSkipRowsRange dimension mismatch")
-	}
-	if lo < 0 || hi > m.rows || lo > hi {
-		panic(fmt.Sprintf("sparse: row range [%d,%d) outside %d rows", lo, hi, m.rows))
-	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.rows; i++ {
 		if skip[i] {
 			y[i] = 0
 			continue
@@ -132,10 +97,10 @@ func (m *CMatrix) RowSlices(i int) (cols []int, vals []complex128) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
-// VecMulSkipRows computes y = x·M as VecMul does, but treats the rows
-// whose indices are flagged in skip as if they were zero. This implements
-// the U′ product of Eq. (10) without materialising a second matrix: U′ is
-// U with every target-state row zeroed.
+// VecMulSkipRows computes y = x·M′, the row-vector product with M′ = M
+// with every flagged row zeroed: the paper's row form of the Eq. (10)
+// iteration, which carries a source row forwards through U′. No solver
+// uses it; the benchmark's layer table times it against MulVecSkipRows.
 func (m *CMatrix) VecMulSkipRows(x, y []complex128, skip []bool) {
 	if len(x) != m.rows || len(y) != m.cols || len(skip) != m.rows {
 		panic("sparse: CMatrix.VecMulSkipRows dimension mismatch")
@@ -335,29 +300,6 @@ func (b *CBuilder) Build() *CMatrix {
 		m.val[slot] += b.vs[k]
 	}
 	return m
-}
-
-// VecMulSkipRowsRange accumulates the contribution of rows [lo, hi) of
-// x·M into y, skipping flagged rows and WITHOUT zeroing y first. It is
-// the building block for partitioned (multi-goroutine) vector–matrix
-// products: each worker owns a row range and a private output buffer,
-// and the buffers are summed afterwards.
-func (m *CMatrix) VecMulSkipRowsRange(x, y []complex128, skip []bool, lo, hi int) {
-	if len(x) != m.rows || len(y) != m.cols || len(skip) != m.rows {
-		panic("sparse: CMatrix.VecMulSkipRowsRange dimension mismatch")
-	}
-	if lo < 0 || hi > m.rows || lo > hi {
-		panic(fmt.Sprintf("sparse: row range [%d,%d) outside %d rows", lo, hi, m.rows))
-	}
-	for i := lo; i < hi; i++ {
-		xi := x[i]
-		if xi == 0 || skip[i] {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			y[m.colIdx[k]] += xi * m.val[k]
-		}
-	}
 }
 
 // RowNNZ returns the number of stored entries in row i.

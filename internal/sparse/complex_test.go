@@ -65,6 +65,7 @@ func TestCMatrixMulVecAgainstDense(t *testing.T) {
 }
 
 func TestCMatrixVecMulAgainstDense(t *testing.T) {
+	// The row-vector product x·M, as VecMulSkipRows with no row skipped.
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 40; trial++ {
 		rows, cols := 1+r.Intn(15), 1+r.Intn(15)
@@ -74,7 +75,7 @@ func TestCMatrixVecMulAgainstDense(t *testing.T) {
 			x[i] = randComplex(r)
 		}
 		y := make([]complex128, cols)
-		m.VecMul(x, y)
+		m.VecMulSkipRows(x, y, make([]bool, rows))
 		for j := range y {
 			var want complex128
 			for i := range x {
@@ -88,12 +89,12 @@ func TestCMatrixVecMulAgainstDense(t *testing.T) {
 }
 
 func TestVecMulSkipRowsMatchesZeroedMatrix(t *testing.T) {
-	// x·U′ computed by VecMulSkipRows must equal x·U after SetRowZero on
-	// the same rows.
+	// x·U′ computed by VecMulSkipRows must equal x·U with the skipped
+	// rows of the dense copy zeroed.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(12)
-		m, _ := randCMatrix(r, n, n, 3*n)
+		m, dense := randCMatrix(r, n, n, 3*n)
 		skip := make([]bool, n)
 		for i := range skip {
 			skip[i] = r.Intn(3) == 0
@@ -102,21 +103,16 @@ func TestVecMulSkipRowsMatchesZeroedMatrix(t *testing.T) {
 		for i := range x {
 			x[i] = randComplex(r)
 		}
-		y1 := make([]complex128, n)
-		m.VecMulSkipRows(x, y1, skip)
-
-		// Rebuild and physically zero the rows.
-		m2 := &CMatrix{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx,
-			val: append([]complex128(nil), m.val...)}
-		for i, s := range skip {
-			if s {
-				m2.SetRowZero(i)
+		y := make([]complex128, n)
+		m.VecMulSkipRows(x, y, skip)
+		for j := range y {
+			var want complex128
+			for i := range x {
+				if !skip[i] {
+					want += x[i] * dense[i][j]
+				}
 			}
-		}
-		y2 := make([]complex128, n)
-		m2.VecMul(x, y2)
-		for j := range y1 {
-			if !cAlmostEq(y1[j], y2[j], 1e-9) {
+			if !cAlmostEq(y[j], want, 1e-9) {
 				return false
 			}
 		}
@@ -232,40 +228,5 @@ func TestDenseFromCSR(t *testing.T) {
 	d := DenseFromCSR(b.Build())
 	if d.At(0, 1) != 3i || d.At(1, 0) != 2 || d.At(0, 0) != 0 {
 		t.Errorf("DenseFromCSR mismatch: %+v", d.Val)
-	}
-}
-
-func TestVecMulSkipRowsRangePartition(t *testing.T) {
-	// Summing partial products over a row partition must equal the
-	// one-shot product.
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + r.Intn(20)
-		m, _ := randCMatrix(r, n, n, 4*n)
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = randComplex(r)
-		}
-		skip := make([]bool, n)
-		for i := range skip {
-			skip[i] = r.Intn(4) == 0
-		}
-		want := make([]complex128, n)
-		m.VecMulSkipRows(x, want, skip)
-
-		got := make([]complex128, n)
-		cut := 1 + r.Intn(n)
-		part1 := make([]complex128, n)
-		part2 := make([]complex128, n)
-		m.VecMulSkipRowsRange(x, part1, skip, 0, cut)
-		m.VecMulSkipRowsRange(x, part2, skip, cut, n)
-		for i := range got {
-			got[i] = part1[i] + part2[i]
-		}
-		for i := range got {
-			if cAlmostEq(got[i], want[i], 1e-12) == false {
-				t.Fatalf("trial %d: partitioned product differs at %d", trial, i)
-			}
-		}
 	}
 }

@@ -118,8 +118,8 @@ func TestCycleTimePassageRejected(t *testing.T) {
 
 // TestCrossValidatesLaplacePipeline is the headline integration check:
 // on a random all-exponential SMP the uniformization baseline and the
-// iterative-Laplace pipeline must produce the same passage density and
-// transient curve.
+// Laplace pipeline (dense solves for passage, the column driver for
+// transient) must produce the same passage density and transient curve.
 func TestCrossValidatesLaplacePipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	n := 6
@@ -145,7 +145,7 @@ func TestCrossValidatesLaplacePipeline(t *testing.T) {
 	pts := inv.Points(ts)
 	vals := make([]complex128, len(pts))
 	for i, s := range pts {
-		v, _, err := sv.IterativeLST(s, passage.SingleSource(0), targets)
+		v, err := sv.DirectDenseLST(s, passage.SingleSource(0), targets)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,11 +175,11 @@ type Surface struct {
 // grid stage runs through it, so rebuilding a surface after a restart
 // reuses the checkpointed s-points.
 //
-// The method must be concrete ("euler", "laguerre" or "talbot") — the
+// The method must be concrete ("euler" or "laguerre") — the
 // surface's grid stages must share one inverter configuration.
 func (m *Model) PassageSurface(name string, targets []int, cache Cache, opts *Options) (*Surface, error) {
 	if opts != nil && opts.Method == "auto" {
-		return nil, fmt.Errorf(`hydra: quantile surfaces need a concrete inversion method ("euler", "laguerre" or "talbot"), not "auto"`)
+		return nil, fmt.Errorf(`hydra: quantile surfaces need a concrete inversion method ("euler" or "laguerre"), not "auto"`)
 	}
 	if name == "" {
 		name = m.specName(pipeline.PassageCDF)
