@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"hydra/internal/petri"
 )
 
 // Expr is a node of the expression language shared by conditions,
@@ -16,7 +18,23 @@ type Expr interface {
 
 type numLit struct{ v float64 }
 
-type varRef struct{ name string }
+// varRef is an identifier. The parser leaves it unresolved; resolve
+// binds it to a place (read from the marking by index) or to a
+// constant's value, keeping the name for String and error messages.
+type varRef struct {
+	name string
+	kind refKind
+	slot int     // refPlace: index into the marking
+	val  float64 // refConst: the value
+}
+
+type refKind uint8
+
+const (
+	refUnknown refKind = iota // evaluating it is an "unknown identifier" error
+	refPlace
+	refConst
+)
 
 type unary struct {
 	op string // "-" or "!"
@@ -52,32 +70,53 @@ func trimFloat(v float64) string {
 	return s
 }
 
-// env resolves variable values during real-valued evaluation: place
-// markings and constants.
-type env interface {
-	lookup(name string) (float64, bool)
+// resolve returns e with every identifier bound once, against the
+// place indices and then the constant table, so that evaluation reads
+// m[i] or a value instead of looking a name up. Either table may be
+// nil; a name in neither stays unknown and is reported if it is ever
+// evaluated. The result has e's shape and String.
+func resolve(e Expr, places map[string]int, consts map[string]float64) Expr {
+	switch n := e.(type) {
+	case varRef:
+		if i, ok := places[n.name]; ok {
+			return varRef{name: n.name, kind: refPlace, slot: i}
+		}
+		if v, ok := consts[n.name]; ok {
+			return varRef{name: n.name, kind: refConst, val: v}
+		}
+		return varRef{name: n.name}
+	case unary:
+		return unary{op: n.op, x: resolve(n.x, places, consts)}
+	case binary:
+		return binary{op: n.op, l: resolve(n.l, places, consts), r: resolve(n.r, places, consts)}
+	case call:
+		args := make([]Expr, len(n.args))
+		for i, a := range n.args {
+			args[i] = resolve(a, places, consts)
+		}
+		return call{fn: n.fn, args: args}
+	}
+	return e
 }
 
-type mapEnv map[string]float64
-
-func (m mapEnv) lookup(name string) (float64, bool) {
-	v, ok := m[name]
-	return v, ok
-}
-
-// evalReal evaluates an expression to a float64. Boolean subexpressions
-// yield 1 or 0; relational and logical operators treat non-zero as true.
-func evalReal(e Expr, en env) (float64, error) {
+// evalReal evaluates a resolved expression (see resolve) to a float64
+// in marking m, which may be nil if the expression reads no place.
+// Boolean subexpressions yield 1 or 0; relational and logical operators
+// treat non-zero as true.
+func evalReal(e Expr, m petri.Marking) (float64, error) {
 	switch n := e.(type) {
 	case numLit:
 		return n.v, nil
 	case varRef:
-		if v, ok := en.lookup(n.name); ok {
-			return v, nil
+		switch n.kind {
+		case refPlace:
+			return float64(m[n.slot]), nil
+		case refConst:
+			return n.val, nil
 		}
 		return 0, fmt.Errorf("dnamaca: unknown identifier %q", n.name)
 	case unary:
-		v, err := evalReal(n.x, en)
+		v, err := evalReal(n.x, m)
 		if err != nil {
 			return 0, err
 		}
@@ -92,7 +131,7 @@ func evalReal(e Expr, en env) (float64, error) {
 		}
 		return 0, fmt.Errorf("dnamaca: unknown unary operator %q", n.op)
 	case binary:
-		l, err := evalReal(n.l, en)
+		l, err := evalReal(n.l, m)
 		if err != nil {
 			return 0, err
 		}
@@ -102,7 +141,7 @@ func evalReal(e Expr, en env) (float64, error) {
 			if l == 0 {
 				return 0, nil
 			}
-			r, err := evalReal(n.r, en)
+			r, err := evalReal(n.r, m)
 			if err != nil {
 				return 0, err
 			}
@@ -111,13 +150,13 @@ func evalReal(e Expr, en env) (float64, error) {
 			if l != 0 {
 				return 1, nil
 			}
-			r, err := evalReal(n.r, en)
+			r, err := evalReal(n.r, m)
 			if err != nil {
 				return 0, err
 			}
 			return boolVal(r != 0), nil
 		}
-		r, err := evalReal(n.r, en)
+		r, err := evalReal(n.r, m)
 		if err != nil {
 			return 0, err
 		}
@@ -161,13 +200,13 @@ func boolVal(b bool) float64 {
 	return 0
 }
 
-// freeVars collects identifiers referenced by the expression, excluding
-// the Laplace variable s.
-func freeVars(e Expr, into map[string]bool) {
+// freeVars collects the identifiers referenced by the expression, by
+// name, excluding the Laplace variable s.
+func freeVars(e Expr, into map[string]varRef) {
 	switch n := e.(type) {
 	case varRef:
 		if n.name != "s" {
-			into[n.name] = true
+			into[n.name] = n
 		}
 	case unary:
 		freeVars(n.x, into)
@@ -181,15 +220,16 @@ func freeVars(e Expr, into map[string]bool) {
 	}
 }
 
-// sortedVars returns the sorted free variables of an expression.
-func sortedVars(e Expr) []string {
-	set := map[string]bool{}
+// sortedVars returns the free identifiers of an expression (see
+// freeVars), sorted by name.
+func sortedVars(e Expr) []varRef {
+	set := map[string]varRef{}
 	freeVars(e, set)
-	out := make([]string, 0, len(set))
-	for v := range set {
+	out := make([]varRef, 0, len(set))
+	for _, v := range set {
 		out = append(out, v)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

@@ -16,22 +16,6 @@ type Compiled struct {
 	placeIdx  map[string]int
 }
 
-// markingEnv resolves identifiers against a marking plus the constant
-// table without per-evaluation allocation.
-type markingEnv struct {
-	m        petri.Marking
-	placeIdx map[string]int
-	consts   map[string]float64
-}
-
-func (e *markingEnv) lookup(name string) (float64, bool) {
-	if i, ok := e.placeIdx[name]; ok {
-		return float64(e.m[i]), true
-	}
-	v, ok := e.consts[name]
-	return v, ok
-}
-
 // Compile resolves constants, validates the model and produces a Petri
 // net whose transition functions interpret the parsed expressions.
 func Compile(spec *Spec) (*Compiled, error) {
@@ -52,7 +36,7 @@ func Compile(spec *Spec) (*Compiled, error) {
 		if _, isPlace := placeIdx[c.Name]; isPlace {
 			return nil, fmt.Errorf("dnamaca: constant %q shadows a place", c.Name)
 		}
-		v, err := evalReal(c.Value, mapEnv(consts))
+		v, err := evalReal(resolve(c.Value, nil, consts), nil)
 		if err != nil {
 			return nil, fmt.Errorf("dnamaca: constant %s: %w", c.Name, err)
 		}
@@ -65,7 +49,7 @@ func Compile(spec *Spec) (*Compiled, error) {
 		if !ok {
 			return nil, fmt.Errorf("dnamaca: \\initial sets unknown place %q", name)
 		}
-		v, err := evalReal(e, mapEnv(consts))
+		v, err := evalReal(resolve(e, nil, consts), nil)
 		if err != nil {
 			return nil, fmt.Errorf("dnamaca: initial marking of %s: %w", name, err)
 		}
@@ -100,9 +84,20 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 	if ts.Sojourn == nil {
 		return nil, fmt.Errorf("%s: missing \\sojourntimeLT (semi-Markov transitions need a firing-time transform)", where)
 	}
+	// Every expression is resolved once against the places and
+	// constants; evaluation then reads the marking by index.
+	res := func(e Expr) Expr { return resolve(e, placeIdx, consts) }
+	condition, weight, priority, sojourn := res(ts.Condition), res(ts.Weight), res(ts.Priority), res(ts.Sojourn)
+	type action struct {
+		place string
+		slot  int
+		value Expr
+	}
+	actions := make([]action, len(ts.Actions))
+
 	// Validate identifier references at compile time with a zero marking.
-	zero := &markingEnv{m: make(petri.Marking, len(placeIdx)), placeIdx: placeIdx, consts: consts}
-	for _, e := range []Expr{ts.Condition, ts.Weight, ts.Priority} {
+	zero := make(petri.Marking, len(placeIdx))
+	for _, e := range []Expr{condition, weight, priority} {
 		if e == nil {
 			continue
 		}
@@ -110,69 +105,58 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			return nil, fmt.Errorf("%s: %w", where, err)
 		}
 	}
-	for _, a := range ts.Actions {
-		if _, ok := placeIdx[a.Place]; !ok {
+	for k, a := range ts.Actions {
+		slot, ok := placeIdx[a.Place]
+		if !ok {
 			return nil, fmt.Errorf("%s: action assigns unknown place %q", where, a.Place)
 		}
-		if _, err := evalReal(a.Value, zero); err != nil {
+		actions[k] = action{place: a.Place, slot: slot, value: res(a.Value)}
+		if _, err := evalReal(actions[k].value, zero); err != nil {
 			return nil, fmt.Errorf("%s: action for %s: %w", where, a.Place, err)
 		}
 	}
-	if _, err := BuildDistribution(ts.Sojourn, zero); err != nil {
+	if _, err := buildDistribution(sojourn, zero); err != nil {
 		// The zero marking may genuinely produce invalid parameters for a
 		// marking-dependent transform (e.g. rate p5·λ with p5=0), so only
 		// reject if the expression also fails on the initial-like probe
 		// below; here just record structural identifier problems.
-		for _, v := range sortedVars(ts.Sojourn) {
-			if _, ok := zero.lookup(v); !ok {
-				return nil, fmt.Errorf("%s: \\sojourntimeLT references unknown identifier %q", where, v)
+		for _, v := range sortedVars(sojourn) {
+			if v.kind == refUnknown {
+				return nil, fmt.Errorf("%s: \\sojourntimeLT references unknown identifier %q", where, v.name)
 			}
 		}
 	}
 
-	actions := ts.Actions
-	condition := ts.Condition
-	weight := ts.Weight
-	priority := ts.Priority
-	sojourn := ts.Sojourn
-	name := ts.Name
-
 	// Marking-dependent distributions are cached per distinct value
 	// vector of the transform's free marking variables.
-	sojournVars := sortedVars(sojourn)
 	var sojournPlaces []int
-	for _, v := range sojournVars {
-		if i, ok := placeIdx[v]; ok {
-			sojournPlaces = append(sojournPlaces, i)
+	for _, v := range sortedVars(sojourn) {
+		if v.kind == refPlace {
+			sojournPlaces = append(sojournPlaces, v.slot)
 		}
 	}
 	distCache := map[string]dist.Distribution{}
 
-	newEnv := func(m petri.Marking) *markingEnv {
-		return &markingEnv{m: m, placeIdx: placeIdx, consts: consts}
-	}
-
 	return &petri.Transition{
-		Name: name,
+		Name: ts.Name,
 		Enabled: func(m petri.Marking) bool {
-			v, err := evalReal(condition, newEnv(m))
+			v, err := evalReal(condition, m)
 			if err != nil {
 				panic(&petri.EvalError{Err: fmt.Errorf("%s: condition: %w", where, err)})
 			}
 			return v != 0
 		},
 		Fire: func(m petri.Marking) petri.Marking {
-			en := newEnv(m)
 			next := m.Clone()
 			for _, a := range actions {
-				v, err := evalReal(a.Value, en)
+				v, err := evalReal(a.value, m)
 				if err != nil {
-					panic(&petri.EvalError{Err: fmt.Errorf("%s: action %s: %w", where, a.Place, err)})
+					panic(&petri.EvalError{Err: fmt.Errorf("%s: action %s: %w", where, a.place, err)})
 				}
 				if !isInteger(v) {
-					panic(&petri.EvalError{Err: fmt.Errorf("%s: action %s yields non-integer %v in marking %v", where, a.Place, v, m)})
+					panic(&petri.EvalError{Err: fmt.Errorf("%s: action %s yields non-integer %v in marking %v", where, a.place, v, m)})
 				}
-				next[placeIdx[a.Place]] = int32(math.Round(v))
+				next[a.slot] = int32(math.Round(v))
 			}
 			return next
 		},
@@ -180,7 +164,7 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			if weight == nil {
 				return 1
 			}
-			v, err := evalReal(weight, newEnv(m))
+			v, err := evalReal(weight, m)
 			if err != nil {
 				panic(&petri.EvalError{Err: fmt.Errorf("%s: weight: %w", where, err)})
 			}
@@ -190,29 +174,26 @@ func compileTransition(ts *TransitionSpec, placeIdx map[string]int, consts map[s
 			if priority == nil {
 				return 1
 			}
-			v, err := evalReal(priority, newEnv(m))
+			v, err := evalReal(priority, m)
 			if err != nil || !isInteger(v) {
 				panic(&petri.EvalError{Err: fmt.Errorf("%s: priority %v (err %v)", where, v, err)})
 			}
 			return int(math.Round(v))
 		},
 		Dist: func(m petri.Marking) dist.Distribution {
-			key := ""
-			if len(sojournPlaces) > 0 {
-				buf := make([]byte, 0, 4*len(sojournPlaces))
-				for _, i := range sojournPlaces {
-					buf = append(buf, byte(m[i]), byte(m[i]>>8), byte(m[i]>>16), byte(m[i]>>24))
-				}
-				key = string(buf)
+			var buf [64]byte
+			key := buf[:0]
+			for _, i := range sojournPlaces {
+				key = append(key, byte(m[i]), byte(m[i]>>8), byte(m[i]>>16), byte(m[i]>>24))
 			}
-			if d, ok := distCache[key]; ok {
+			if d, ok := distCache[string(key)]; ok {
 				return d
 			}
-			d, err := BuildDistribution(sojourn, newEnv(m))
+			d, err := buildDistribution(sojourn, m)
 			if err != nil {
 				panic(&petri.EvalError{Err: fmt.Errorf("%s: sojourn in marking %v: %w", where, m, err)})
 			}
-			distCache[key] = d
+			distCache[string(key)] = d
 			return d
 		},
 	}, nil
@@ -242,27 +223,11 @@ const maxTPoints = 10000
 // ResolveMeasure evaluates a measure block against an explored state
 // space: source and target state sets plus the requested t-grid.
 func (c *Compiled) ResolveMeasure(ms *MeasureSpec, ss *petri.StateSpace) (sources, targets []int, ts []float64, err error) {
-	evalCond := func(e Expr) ([]int, error) {
-		var out []int
-		var evalErr error
-		out = ss.FindStates(func(m petri.Marking) bool {
-			if evalErr != nil {
-				return false
-			}
-			v, err := evalReal(e, &markingEnv{m: m, placeIdx: c.placeIdx, consts: c.Constants})
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			return v != 0
-		})
-		return out, evalErr
-	}
-	sources, err = evalCond(ms.Source)
+	sources, err = c.findStates(ms.Source, ss)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dnamaca: \\sourcecondition: %w", err)
 	}
-	targets, err = evalCond(ms.Target)
+	targets, err = c.findStates(ms.Target, ss)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dnamaca: \\targetcondition: %w", err)
 	}
@@ -272,18 +237,18 @@ func (c *Compiled) ResolveMeasure(ms *MeasureSpec, ss *petri.StateSpace) (source
 	if len(targets) == 0 {
 		return nil, nil, nil, fmt.Errorf("dnamaca: \\targetcondition matches no reachable state")
 	}
-	ce := mapEnv(c.Constants)
-	lo, err := evalReal(ms.TStart, ce)
+	scalar := func(e Expr) (float64, error) { return evalReal(resolve(e, nil, c.Constants), nil) }
+	lo, err := scalar(ms.TStart)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dnamaca: \\t_start: %w", err)
 	}
-	hi, err := evalReal(ms.TStop, ce)
+	hi, err := scalar(ms.TStop)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dnamaca: \\t_stop: %w", err)
 	}
 	np := 10.0
 	if ms.TPoints != nil {
-		np, err = evalReal(ms.TPoints, ce)
+		np, err = scalar(ms.TPoints)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("dnamaca: \\t_points: %w", err)
 		}
@@ -300,23 +265,31 @@ func (c *Compiled) ResolveMeasure(ms *MeasureSpec, ss *petri.StateSpace) (source
 // ResolveStateMeasure evaluates a \statemeasure condition against an
 // explored state space, returning the matching states.
 func (c *Compiled) ResolveStateMeasure(sm *StateMeasureSpec, ss *petri.StateSpace) ([]int, error) {
+	states, err := c.findStates(sm.Condition, ss)
+	if err != nil {
+		return nil, fmt.Errorf("dnamaca: \\statemeasure{%s}: %w", sm.Name, err)
+	}
+	if len(states) == 0 {
+		return nil, fmt.Errorf("dnamaca: \\statemeasure{%s} matches no reachable state", sm.Name)
+	}
+	return states, nil
+}
+
+// findStates returns the states whose marking satisfies the condition
+// e, or the first error evaluating it.
+func (c *Compiled) findStates(e Expr, ss *petri.StateSpace) ([]int, error) {
+	e = resolve(e, c.placeIdx, c.Constants)
 	var evalErr error
 	states := ss.FindStates(func(m petri.Marking) bool {
 		if evalErr != nil {
 			return false
 		}
-		v, err := evalReal(sm.Condition, &markingEnv{m: m, placeIdx: c.placeIdx, consts: c.Constants})
+		v, err := evalReal(e, m)
 		if err != nil {
 			evalErr = err
 			return false
 		}
 		return v != 0
 	})
-	if evalErr != nil {
-		return nil, fmt.Errorf("dnamaca: \\statemeasure{%s}: %w", sm.Name, evalErr)
-	}
-	if len(states) == 0 {
-		return nil, fmt.Errorf("dnamaca: \\statemeasure{%s} matches no reachable state", sm.Name)
-	}
-	return states, nil
+	return states, evalErr
 }

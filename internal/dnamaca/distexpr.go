@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"hydra/internal/dist"
+	"hydra/internal/petri"
 )
 
 // The transform functions of the specification language. Each takes its
@@ -58,20 +58,20 @@ func safeDist(build func() dist.Distribution) (d dist.Distribution, err error) {
 	return build(), nil
 }
 
-// BuildDistribution interprets a \sojourntimeLT expression structurally
-// against an environment (marking values and constants), producing a
-// full Distribution — samplable by the simulator — whenever the
-// expression is a weighted sum of products of the known transform
-// functions. Expressions that use s in other ways fall back to an
-// analysis-only transform (see exprLST).
-func BuildDistribution(e Expr, en env) (dist.Distribution, error) {
-	terms, err := convertSum(e, en)
+// buildDistribution interprets a resolved \sojourntimeLT expression
+// (see resolve) structurally in marking m, producing a full
+// Distribution — samplable by the simulator — whenever the expression
+// is a weighted sum of products of the known transform functions.
+// Expressions that use s in other ways fall back to an analysis-only
+// transform (see exprLST).
+func buildDistribution(e Expr, m petri.Marking) (dist.Distribution, error) {
+	terms, err := convertSum(e, m)
 	if err == nil {
 		return assemble(terms)
 	}
 	structuralErr := err
 	// Fallback: arbitrary transform, analysis-only.
-	d, err := newExprLST(e, en)
+	d, err := newExprLST(e, m)
 	if err != nil {
 		return nil, fmt.Errorf("dnamaca: sojourn expression is neither structural (%v) nor a valid transform (%v)", structuralErr, err)
 	}
@@ -111,22 +111,22 @@ func assemble(terms []wTerm) (dist.Distribution, error) {
 }
 
 // convertSum flattens the expression into mixture terms.
-func convertSum(e Expr, en env) ([]wTerm, error) {
+func convertSum(e Expr, m petri.Marking) ([]wTerm, error) {
 	switch n := e.(type) {
 	case binary:
 		if n.op == "+" {
-			l, err := convertSum(n.l, en)
+			l, err := convertSum(n.l, m)
 			if err != nil {
 				return nil, err
 			}
-			r, err := convertSum(n.r, en)
+			r, err := convertSum(n.r, m)
 			if err != nil {
 				return nil, err
 			}
 			return append(l, r...), nil
 		}
 	}
-	t, err := convertProduct(e, en)
+	t, err := convertProduct(e, m)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +135,8 @@ func convertSum(e Expr, en env) ([]wTerm, error) {
 
 // convertProduct interprets scalar·LT·LT… products: scalars multiply the
 // weight, transform factors convolve.
-func convertProduct(e Expr, en env) (wTerm, error) {
-	factors, err := flattenProduct(e, en)
+func convertProduct(e Expr, m petri.Marking) (wTerm, error) {
+	factors, err := flattenProduct(e, m)
 	if err != nil {
 		return wTerm{}, err
 	}
@@ -166,26 +166,26 @@ type factor struct {
 	d        dist.Distribution
 }
 
-func flattenProduct(e Expr, en env) ([]factor, error) {
+func flattenProduct(e Expr, m petri.Marking) ([]factor, error) {
 	switch n := e.(type) {
 	case binary:
 		switch n.op {
 		case "*":
-			l, err := flattenProduct(n.l, en)
+			l, err := flattenProduct(n.l, m)
 			if err != nil {
 				return nil, err
 			}
-			r, err := flattenProduct(n.r, en)
+			r, err := flattenProduct(n.r, m)
 			if err != nil {
 				return nil, err
 			}
 			return append(l, r...), nil
 		case "/":
-			l, err := flattenProduct(n.l, en)
+			l, err := flattenProduct(n.l, m)
 			if err != nil {
 				return nil, err
 			}
-			den, err := evalReal(n.r, en)
+			den, err := evalReal(n.r, m)
 			if err != nil {
 				return nil, fmt.Errorf("divisor in %q is not scalar: %v", e, err)
 			}
@@ -195,14 +195,14 @@ func flattenProduct(e Expr, en env) ([]factor, error) {
 			return append(l, factor{isScalar: true, scalar: 1 / den}), nil
 		}
 	case call:
-		d, err := buildCall(n, en)
+		d, err := buildCall(n, m)
 		if err != nil {
 			return nil, err
 		}
 		return []factor{{d: d}}, nil
 	case unary:
 		if n.op == "-" {
-			inner, err := flattenProduct(n.x, en)
+			inner, err := flattenProduct(n.x, m)
 			if err != nil {
 				return nil, err
 			}
@@ -210,7 +210,7 @@ func flattenProduct(e Expr, en env) ([]factor, error) {
 		}
 	}
 	// Anything else must be a scalar subexpression (no s, no calls).
-	v, err := evalReal(e, en)
+	v, err := evalReal(e, m)
 	if err != nil {
 		return nil, fmt.Errorf("%q is not a scalar: %v", e, err)
 	}
@@ -218,7 +218,7 @@ func flattenProduct(e Expr, en env) ([]factor, error) {
 }
 
 // buildCall turns a transform-function call into a distribution.
-func buildCall(c call, en env) (dist.Distribution, error) {
+func buildCall(c call, m petri.Marking) (dist.Distribution, error) {
 	ctor, ok := distConstructors[c.fn]
 	if !ok {
 		return nil, fmt.Errorf("unknown transform function %q", c.fn)
@@ -232,7 +232,7 @@ func buildCall(c call, en env) (dist.Distribution, error) {
 	}
 	vals := make([]float64, ctor.args)
 	for i := 0; i < ctor.args; i++ {
-		v, err := evalReal(c.args[i], en)
+		v, err := evalReal(c.args[i], m)
 		if err != nil {
 			return nil, fmt.Errorf("argument %d of %s: %v", i+1, c.fn, err)
 		}
@@ -251,21 +251,23 @@ func buildCall(c call, en env) (dist.Distribution, error) {
 // "any arbitrary Laplace transform function can be specified"); it
 // cannot be sampled, so simulation of such models is refused.
 type exprLST struct {
-	e     Expr
-	bound map[string]float64 // captured free-variable values
+	e     Expr          // resolved (see resolve)
+	m     petri.Marking // the marking e's places read
 	canon string
 }
 
-func newExprLST(e Expr, en env) (*exprLST, error) {
-	bound := map[string]float64{}
+// newExprLST captures the resolved expression e in marking m.
+func newExprLST(e Expr, m petri.Marking) (*exprLST, error) {
+	// The canonical form names the value of every free identifier.
+	var parts []string
 	for _, v := range sortedVars(e) {
-		val, ok := en.lookup(v)
-		if !ok {
-			return nil, fmt.Errorf("unknown identifier %q", v)
+		if v.kind == refUnknown {
+			return nil, fmt.Errorf("unknown identifier %q", v.name)
 		}
-		bound[v] = val
+		val, _ := evalReal(v, m)
+		parts = append(parts, fmt.Sprintf("%s=%g", v.name, val))
 	}
-	x := &exprLST{e: e, bound: bound}
+	x := &exprLST{e: e, m: m.Clone()}
 	// Validate by probing one point, and check total probability: any
 	// genuine sojourn transform satisfies L(0) = 1.
 	if _, err := x.eval(1 + 1i); err != nil {
@@ -283,21 +285,12 @@ func newExprLST(e Expr, en env) (*exprLST, error) {
 	if math.Abs(real(at0)-1) > 1e-6 || math.Abs(imag(at0)) > 1e-6 {
 		return nil, fmt.Errorf("transform evaluates to %v at s=0, want 1 (not a probability distribution)", at0)
 	}
-	var parts []string
-	keys := make([]string, 0, len(bound))
-	for k := range bound {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%g", k, bound[k]))
-	}
 	x.canon = fmt.Sprintf("lt[%s|%s]", e.String(), strings.Join(parts, ","))
 	return x, nil
 }
 
 func (x *exprLST) eval(s complex128) (complex128, error) {
-	return evalComplex(x.e, x.bound, s)
+	return evalComplex(x.e, x.m, s)
 }
 
 // LST implements dist.Distribution.
@@ -329,9 +322,9 @@ func (x *exprLST) Sample(*rand.Rand) float64 {
 
 func (x *exprLST) String() string { return x.canon }
 
-// evalComplex evaluates an expression over ℂ with s bound and all other
-// identifiers resolved to reals.
-func evalComplex(e Expr, bound map[string]float64, s complex128) (complex128, error) {
+// evalComplex evaluates a resolved expression over ℂ with s bound and
+// every other identifier read as a real, places from marking m.
+func evalComplex(e Expr, m petri.Marking, s complex128) (complex128, error) {
 	switch n := e.(type) {
 	case numLit:
 		return complex(n.v, 0), nil
@@ -339,12 +332,13 @@ func evalComplex(e Expr, bound map[string]float64, s complex128) (complex128, er
 		if n.name == "s" {
 			return s, nil
 		}
-		if v, ok := bound[n.name]; ok {
+		if n.kind != refUnknown {
+			v, _ := evalReal(n, m)
 			return complex(v, 0), nil
 		}
 		return 0, fmt.Errorf("unknown identifier %q", n.name)
 	case unary:
-		v, err := evalComplex(n.x, bound, s)
+		v, err := evalComplex(n.x, m, s)
 		if err != nil {
 			return 0, err
 		}
@@ -353,11 +347,11 @@ func evalComplex(e Expr, bound map[string]float64, s complex128) (complex128, er
 		}
 		return 0, fmt.Errorf("operator %q not defined on transforms", n.op)
 	case binary:
-		l, err := evalComplex(n.l, bound, s)
+		l, err := evalComplex(n.l, m, s)
 		if err != nil {
 			return 0, err
 		}
-		r, err := evalComplex(n.r, bound, s)
+		r, err := evalComplex(n.r, m, s)
 		if err != nil {
 			return 0, err
 		}
@@ -386,7 +380,7 @@ func evalComplex(e Expr, bound map[string]float64, s complex128) (complex128, er
 		}
 		vals := make([]float64, ctor.args)
 		for i := 0; i < ctor.args; i++ {
-			v, err := evalComplex(n.args[i], bound, s)
+			v, err := evalComplex(n.args[i], m, s)
 			if err != nil {
 				return 0, err
 			}
@@ -395,7 +389,7 @@ func evalComplex(e Expr, bound map[string]float64, s complex128) (complex128, er
 			}
 			vals[i] = real(v)
 		}
-		sv, err := evalComplex(n.args[len(n.args)-1], bound, s)
+		sv, err := evalComplex(n.args[len(n.args)-1], m, s)
 		if err != nil {
 			return 0, err
 		}

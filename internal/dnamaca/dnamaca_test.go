@@ -445,7 +445,7 @@ func TestExpressionCanonicalFormIsStable(t *testing.T) {
 }
 
 func TestEvalRealOperatorTable(t *testing.T) {
-	en := mapEnv{"x": 3, "y": 0}
+	consts := map[string]float64{"x": 3, "y": 0}
 	cases := []struct {
 		src  string
 		want float64
@@ -471,7 +471,7 @@ func TestEvalRealOperatorTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
-		got, err := evalReal(e, en)
+		got, err := evalReal(resolve(e, nil, consts), nil)
 		if err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
@@ -489,7 +489,7 @@ func TestEvalRealOperatorTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := evalReal(e, en); err == nil {
+		if _, err := evalReal(resolve(e, nil, consts), nil); err == nil {
 			t.Errorf("%q evaluated without error", bad)
 		}
 	}

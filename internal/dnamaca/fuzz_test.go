@@ -53,20 +53,24 @@ func hangGuard(input string) func() {
 	return func() { t.Stop() }
 }
 
+// parseSeeds are FuzzParse's hand-written seeds; FuzzMarkingExpr starts
+// from them too.
+var parseSeeds = []string{
+	minimalSpec,
+	strings.Replace(minimalSpec, "expLT(2, s)", "0.4*expLT(2, s) + 0.6*erlangLT(3, 2, s)", 1),
+	strings.Replace(minimalSpec, `\t_points{5}`, `\t_points{50}`, 1),
+	// Malformed: truncated, unbalanced, unknown blocks and words.
+	minimalSpec[:len(minimalSpec)/2],
+	`\model{ \statevector{ \type{short}{a} } \initial{ a = 1; }`,
+	`\model{}}`,
+	`\model{ \statevector{ \type{short}{a} } \constant{k}{a} \initial{ a = k; } }`,
+	`\model{ \statevector{ \type{short}{a, a} } \initial{ a = 1; } }`,
+	`\passage{ \sourcecondition{x == 1} }`,
+	"\\model{ \\statevector{ \\type{short}{a} } \\initial{ a = 1e999; } }",
+}
+
 func FuzzParse(f *testing.F) {
-	for _, src := range []string{
-		minimalSpec,
-		strings.Replace(minimalSpec, "expLT(2, s)", "0.4*expLT(2, s) + 0.6*erlangLT(3, 2, s)", 1),
-		strings.Replace(minimalSpec, `\t_points{5}`, `\t_points{50}`, 1),
-		// Malformed: truncated, unbalanced, unknown blocks and words.
-		minimalSpec[:len(minimalSpec)/2],
-		`\model{ \statevector{ \type{short}{a} } \initial{ a = 1; }`,
-		`\model{}}`,
-		`\model{ \statevector{ \type{short}{a} } \constant{k}{a} \initial{ a = k; } }`,
-		`\model{ \statevector{ \type{short}{a, a} } \initial{ a = 1; } }`,
-		`\passage{ \sourcecondition{x == 1} }`,
-		"\\model{ \\statevector{ \\type{short}{a} } \\initial{ a = 1e999; } }",
-	} {
+	for _, src := range parseSeeds {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -38,7 +38,10 @@ func (mo *Moments) Variance(i int) float64 {
 
 // PassageMoments solves the two linear systems by one joint Gauss–Seidel
 // iteration: each sweep updates E[T_i] and E[T_i²] from the latest
-// means. The second-moment system only reads the first, so the joint
+// means. It sweeps in descending state index: the equations are
+// backward (state i reads its successors), and a breadth-first state
+// space numbers the states near the targets last, so this order carries
+// what is known at the targets toward the source within one sweep. The second-moment system only reads the first, so the joint
 // sweep has the fixed point of solving them one after the other. The
 // means stop moving once they pass their tolerance — they are then the
 // iterate a first-moment solve on its own would have returned — and the
@@ -95,7 +98,7 @@ func PassageMoments(m *smp.Model, targets []int, opts Options) (*Moments, error)
 	meanDone := false
 	for iter := 0; iter < opts.GSMaxIter; iter++ {
 		var worstM, worstS, l1M, l1S float64
-		for i := 0; i < n; i++ {
+		for i := n - 1; i >= 0; i-- {
 			to, prob, did := m.TermSlices(i)
 			sumM, sumS := m1[i], m2[i]
 			for k, j := range to {

@@ -12,34 +12,27 @@ func CountReachable(n *Net, maxStates int) (_ int, err error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}
-	index := make(map[string]struct{}, 1024)
-	var queue []Marking
-	add := func(m Marking) bool {
-		key := m.Key()
-		if _, ok := index[key]; ok {
-			return false
-		}
-		index[key] = struct{}{}
-		queue = append(queue, m)
-		return true
-	}
-	add(n.Initial.Clone())
+	set := newMarkingSet(len(n.Places))
+	set.add(n.Initial)
 	var epBuf []*Transition
-	for head := 0; head < len(queue); head++ {
-		m := queue[head]
+	for id := int32(0); int(id) < set.len(); id++ {
+		m := set.at(id)
 		ep := n.enabledMaxPriority(m, epBuf)
 		epBuf = ep
 		for _, t := range ep {
 			next := t.Fire(m)
+			if len(next) != len(n.Places) {
+				return 0, fmt.Errorf("petri: transition %q produced marking of wrong size", t.Name)
+			}
 			for p, v := range next {
 				if v < 0 {
 					return 0, fmt.Errorf("petri: transition %q drove place %s negative", t.Name, n.Places[p])
 				}
 			}
-			if add(next) && maxStates > 0 && len(index) > maxStates {
+			if _, fresh := set.add(next); fresh && maxStates > 0 && set.len() > maxStates {
 				return 0, fmt.Errorf("%w (%d)", ErrStateSpaceTooLarge, maxStates)
 			}
 		}
 	}
-	return len(index), nil
+	return set.len(), nil
 }

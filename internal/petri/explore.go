@@ -78,19 +78,6 @@ func (ss *StateSpace) FindStates(pred func(Marking) bool) []int {
 	return out
 }
 
-// StateIndex returns the index of a marking, or -1 if unreachable.
-func (ss *StateSpace) StateIndex(m Marking) int {
-	// Linear rebuild of the key is fine for the occasional lookup; bulk
-	// queries should use FindStates.
-	key := m.Key()
-	for i, s := range ss.States {
-		if s.Key() == key {
-			return i
-		}
-	}
-	return -1
-}
-
 // Explore performs a breadth-first reachability analysis from the
 // initial marking, building the SMP kernel as it goes: in each marking m
 // the priority-enabled transitions EP(m) fire with probability
@@ -103,30 +90,16 @@ func Explore(n *Net, opts ExploreOptions) (_ *StateSpace, err error) {
 	}
 
 	// Transitions go straight into the SMP builder, which interns their
-	// distributions; it grows with the state space.
+	// distributions; it grows with the state space. Ids are handed out
+	// in discovery order, so the breadth-first queue is simply the ids
+	// in ascending order.
 	b := smp.NewBuilder(1)
-	index := make(map[string]int32, 1024)
-	var states []Marking
-	intern := func(m Marking) (int32, bool) {
-		key := m.Key()
-		if id, ok := index[key]; ok {
-			return id, false
-		}
-		id := int32(len(states))
-		index[key] = id
-		states = append(states, m)
-		b.EnsureStates(len(states))
-		return id, true
-	}
-
-	root, _ := intern(n.Initial.Clone())
-	queue := []int32{root}
+	set := newMarkingSet(len(n.Places))
+	set.add(n.Initial)
 	var epBuf []*Transition
 	var weights []float64
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		m := states[id]
+	for id := int32(0); int(id) < set.len(); id++ {
+		m := set.at(id)
 		ep := n.enabledMaxPriority(m, epBuf)
 		epBuf = ep
 		if len(ep) == 0 {
@@ -152,17 +125,18 @@ func Explore(n *Net, opts ExploreOptions) (_ *StateSpace, err error) {
 					return nil, fmt.Errorf("petri: transition %q drove place %s negative in %v", t.Name, n.Places[p], m)
 				}
 			}
-			nid, fresh := intern(next)
+			nid, fresh := set.add(next)
 			if fresh {
-				if len(states) > opts.MaxStates {
+				if set.len() > opts.MaxStates {
 					return nil, fmt.Errorf("%w (%d)", ErrStateSpaceTooLarge, opts.MaxStates)
 				}
-				queue = append(queue, nid)
+				b.EnsureStates(set.len())
 			}
 			b.Add(int(id), int(nid), weights[k]/totalW, t.Dist(m))
 		}
 	}
 
+	states := set.markings()
 	if opts.StoreLabels {
 		for i, m := range states {
 			b.SetLabel(i, m.String())

@@ -8,7 +8,6 @@
 package petri
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -23,15 +22,6 @@ func (m Marking) Clone() Marking {
 	out := make(Marking, len(m))
 	copy(out, m)
 	return out
-}
-
-// Key encodes the marking as a map key.
-func (m Marking) Key() string {
-	buf := make([]byte, 4*len(m))
-	for i, v := range m {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return string(buf)
 }
 
 // String renders the marking with place names.

@@ -3,6 +3,7 @@ package petri
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"hydra/internal/dist"
@@ -34,15 +35,33 @@ func TestExploreCycle(t *testing.T) {
 	}
 }
 
-func TestMarkingKeyRoundTrip(t *testing.T) {
+func TestMarkingSetInternsByValue(t *testing.T) {
+	s := newMarkingSet(4)
 	a := Marking{1, 0, 7, 200000}
-	b := Marking{1, 0, 7, 200000}
-	c := Marking{1, 0, 7, 200001}
-	if a.Key() != b.Key() {
-		t.Error("equal markings produced different keys")
+	if id, fresh := s.add(a); id != 0 || !fresh {
+		t.Fatalf("first add = (%d, %v), want (0, true)", id, fresh)
 	}
-	if a.Key() == c.Key() {
-		t.Error("different markings share a key")
+	a[2] = 9 // the set holds its own copy
+	if id, fresh := s.add(Marking{1, 0, 7, 200000}); id != 0 || fresh {
+		t.Errorf("equal marking = (%d, %v), want (0, false)", id, fresh)
+	}
+	if id, fresh := s.add(Marking{1, 0, 7, 200001}); id != 1 || !fresh {
+		t.Errorf("different marking = (%d, %v), want (1, true)", id, fresh)
+	}
+	// Enough markings to grow the table several times: ids follow first
+	// insertion and every marking is found again after the growth.
+	for v := int32(0); v < 5000; v++ {
+		s.add(Marking{v, -v, v % 3, 1 << 20})
+	}
+	for v := int32(0); v < 5000; v++ {
+		m := Marking{v, -v, v % 3, 1 << 20}
+		id, fresh := s.add(m)
+		if fresh || id != v+2 || !slices.Equal(s.at(id), m) {
+			t.Fatalf("marking %v = (%d, %v), want (%d, false)", m, id, fresh, v+2)
+		}
+	}
+	if all := s.markings(); len(all) != s.len() || !slices.Equal(all[1], Marking{1, 0, 7, 200001}) {
+		t.Errorf("markings() = %d markings, second %v", len(all), all[1])
 	}
 }
 

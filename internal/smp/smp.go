@@ -15,6 +15,7 @@ package smp
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"hydra/internal/dist"
 	"hydra/internal/sparse"
@@ -185,23 +186,10 @@ func (b *Builder) Add(from, to int, prob float64, d dist.Distribution) {
 // outgoing probability summing to 1 (within 1e-9); the builder remains
 // usable afterwards.
 func (b *Builder) Build() (*Model, error) {
-	sums := make([]float64, b.n)
-	counts := make([]int, b.n)
-	for k, f := range b.from {
-		sums[f] += b.prob[k]
-		counts[f]++
-	}
-	for i, s := range sums {
-		if counts[i] == 0 {
-			return nil, fmt.Errorf("smp: state %d has no outgoing transitions (SMP must not have absorbing states)", i)
-		}
-		if s < 1-1e-9 || s > 1+1e-9 {
-			return nil, fmt.Errorf("smp: state %d outgoing probability sums to %v, want 1", i, s)
-		}
-	}
 	m := &Model{n: b.n, dists: b.dists, labels: b.labels}
 
-	// Group terms by source state.
+	// Group terms by source state, keeping each state's terms in the
+	// order they were added.
 	m.termPtr = make([]int, b.n+1)
 	for _, f := range b.from {
 		m.termPtr[f+1]++
@@ -215,29 +203,61 @@ func (b *Builder) Build() (*Model, error) {
 	m.termDist = make([]int32, nT)
 	pos := make([]int, b.n)
 	copy(pos, m.termPtr[:b.n])
-	for k := range b.from {
-		p := pos[b.from[k]]
-		pos[b.from[k]]++
+	for k, f := range b.from {
+		p := pos[f]
+		pos[f]++
 		m.termTo[p] = b.to[k]
 		m.termProb[p] = b.prob[k]
 		m.termDist[p] = b.distID[k]
 	}
-
-	// Kernel pattern over the distinct (from,to) pairs, with the slot of
-	// each grouped term.
-	is := make([]int, nT)
-	js := make([]int, nT)
 	for i := 0; i < b.n; i++ {
-		for k := m.termPtr[i]; k < m.termPtr[i+1]; k++ {
-			is[k] = i
-			js[k] = int(m.termTo[k])
+		lo, hi := m.termPtr[i], m.termPtr[i+1]
+		if lo == hi {
+			return nil, fmt.Errorf("smp: state %d has no outgoing transitions (SMP must not have absorbing states)", i)
+		}
+		var s float64
+		for _, p := range m.termProb[lo:hi] {
+			s += p
+		}
+		if s < 1-1e-9 || s > 1+1e-9 {
+			return nil, fmt.Errorf("smp: state %d outgoing probability sums to %v, want 1", i, s)
 		}
 	}
-	pattern, idx := sparse.NewPattern(b.n, b.n, is, js)
-	m.pattern = pattern
+
+	// Kernel pattern over the distinct (from,to) pairs, row by row: a
+	// row's few destinations are sorted in place and merged, and each
+	// term finds its slot among them.
+	rowPtr := make([]int, b.n+1)
+	colIdx := make([]int, 0, nT)
 	m.termSlot = make([]int32, nT)
-	for k, slot := range idx {
-		m.termSlot[k] = int32(slot)
+	for i := 0; i < b.n; i++ {
+		lo, hi := m.termPtr[i], m.termPtr[i+1]
+		start := len(colIdx)
+		for _, j := range m.termTo[lo:hi] {
+			colIdx = insertSorted(colIdx, start, int(j))
+		}
+		row := colIdx[start:]
+		for k := lo; k < hi; k++ {
+			m.termSlot[k] = int32(start + slices.Index(row, int(m.termTo[k])))
+		}
+		rowPtr[i+1] = len(colIdx)
 	}
+	m.pattern = sparse.NewPatternCSR(b.n, b.n, rowPtr, colIdx)
 	return m, nil
+}
+
+// insertSorted adds j to the ascending run cols[start:] unless it is
+// already there.
+func insertSorted(cols []int, start, j int) []int {
+	k := len(cols)
+	for k > start && cols[k-1] > j {
+		k--
+	}
+	if k > start && cols[k-1] == j {
+		return cols
+	}
+	cols = append(cols, 0)
+	copy(cols[k+1:], cols[k:])
+	cols[k] = j
+	return cols
 }

@@ -3,10 +3,13 @@ package smp
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hydra/internal/dist"
 	"hydra/internal/dtmc"
+	"hydra/internal/sparse"
 )
 
 // twoState builds the canonical test SMP:
@@ -211,5 +214,50 @@ func TestAddPanicsOnBadInput(t *testing.T) {
 			}()
 			fn(NewBuilder(2))
 		}()
+	}
+}
+
+func TestBuildPatternMatchesCoordinateAssembly(t *testing.T) {
+	// Build merges each row's destinations itself; the pattern and the
+	// term slots must be those of assembling every (from, to) pair as
+	// coordinate entries, duplicates and self-loops included.
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + r.Intn(30)
+		b := NewBuilder(n)
+		for i := 0; i < n; i++ {
+			k := 1 + r.Intn(6)
+			for e := 0; e < k; e++ {
+				b.Add(i, r.Intn(min(n, 4)+i%3)%n, 1/float64(k), dist.NewExponential(1))
+			}
+		}
+		m, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var is, js []int
+		for i := 0; i < n; i++ {
+			to, _, _ := m.TermSlices(i)
+			for _, j := range to {
+				is, js = append(is, i), append(js, int(j))
+			}
+		}
+		want, idx := sparse.NewPattern(n, n, is, js)
+		if m.KernelNNZ() != want.NNZ() {
+			t.Fatalf("trial %d: %d kernel entries, coordinate assembly %d", trial, m.KernelNNZ(), want.NNZ())
+		}
+		for i := 0; i < n; i++ {
+			var got, exp []int
+			m.pattern.Row(i, func(j int) { got = append(got, j) })
+			want.Row(i, func(j int) { exp = append(exp, j) })
+			if !slices.Equal(got, exp) {
+				t.Fatalf("trial %d: row %d = %v, coordinate assembly %v", trial, i, got, exp)
+			}
+		}
+		for k, slot := range idx {
+			if int(m.termSlot[k]) != slot {
+				t.Fatalf("trial %d: term %d in slot %d, coordinate assembly %d", trial, k, m.termSlot[k], slot)
+			}
+		}
 	}
 }

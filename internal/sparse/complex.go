@@ -159,6 +159,32 @@ func NewPattern(rows, cols int, is, js []int) (p *Pattern, idx []int) {
 	return p, idx
 }
 
+// NewPatternCSR wraps pre-assembled CSR structure arrays as a pattern,
+// for a caller that has merged and sorted each row itself; ownership of
+// rowPtr and colIdx transfers to the pattern. Every row's columns must
+// be strictly ascending and lie in [0, cols).
+func NewPatternCSR(rows, cols int, rowPtr, colIdx []int) *Pattern {
+	if rows < 0 || cols < 0 {
+		panic("sparse: negative dimension")
+	}
+	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) {
+		panic("sparse: NewPatternCSR malformed row structure")
+	}
+	for i := 0; i < rows; i++ {
+		if rowPtr[i] > rowPtr[i+1] {
+			panic(fmt.Sprintf("sparse: NewPatternCSR row %d has negative extent", i))
+		}
+		prev := -1
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if j <= prev || j >= cols {
+				panic(fmt.Sprintf("sparse: NewPatternCSR row %d: column %d out of order or outside %d columns", i, j, cols))
+			}
+			prev = j
+		}
+	}
+	return &Pattern{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx}
+}
+
 // NNZ returns the number of positions in the pattern.
 func (p *Pattern) NNZ() int { return len(p.colIdx) }
 

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +229,33 @@ func TestDenseFromCSR(t *testing.T) {
 	d := DenseFromCSR(b.Build())
 	if d.At(0, 1) != 3i || d.At(1, 0) != 2 || d.At(0, 0) != 0 {
 		t.Errorf("DenseFromCSR mismatch: %+v", d.Val)
+	}
+}
+
+func TestNewPatternCSR(t *testing.T) {
+	p := NewPatternCSR(2, 3, []int{0, 2, 3}, []int{0, 2, 1})
+	q, _ := NewPattern(2, 3, []int{0, 1, 0, 0}, []int{2, 1, 0, 2})
+	for i := 0; i < 2; i++ {
+		var got, want []int
+		p.Row(i, func(j int) { got = append(got, j) })
+		q.Row(i, func(j int) { want = append(want, j) })
+		if !slices.Equal(got, want) {
+			t.Errorf("row %d = %v, NewPattern gives %v", i, got, want)
+		}
+	}
+	for name, bad := range map[string][2][]int{
+		"descending": {{0, 2}, {2, 1}},
+		"duplicate":  {{0, 2}, {1, 1}},
+		"outside":    {{0, 1}, {3}},
+		"short":      {{0, 1}, {0, 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s structure accepted", name)
+				}
+			}()
+			NewPatternCSR(1, 3, bad[0], bad[1])
+		}()
 	}
 }
