@@ -1,6 +1,6 @@
-// Benchmarks regenerating the paper's tables and figures. Each
-// Benchmark corresponds to one published artefact (see DESIGN.md §3 and
-// EXPERIMENTS.md for the paper-vs-measured record):
+// Go benchmarks over the paper's tables and figures, design-choice
+// studies and layer microbenchmarks. They are smoke-sized timings for
+// `go test -bench`; the bounded, recorded workloads live in benchmark/.
 //
 //	BenchmarkTable1StateSpace      Table 1 — reachability/state-space generation
 //	BenchmarkTable2Pipeline        Table 2 — distributed pipeline at several widths
@@ -8,7 +8,10 @@
 //	BenchmarkFig5CDF               Fig. 5 — cumulative passage distribution
 //	BenchmarkFig6FailureMode       Fig. 6 — failure-mode passage density
 //	BenchmarkFig7Transient         Fig. 7 — transient state distribution
-//	BenchmarkAblation*             design-choice studies from DESIGN.md
+//	BenchmarkIterativeVsDirect     Eq. (10) iteration vs Gauss–Seidel vs dense elimination
+//	BenchmarkEulerVsLaguerre       the two inverters on one density curve
+//	BenchmarkInterning             kernel fill from interned LSTs vs per term
+//	BenchmarkCheckpoint            pipeline run with and without a checkpoint
 package hydra_test
 
 import (
@@ -46,7 +49,7 @@ func (l *lazyModel) get(b *testing.B, build func() (*hydra.Model, error)) *hydra
 var (
 	system0  lazyModel
 	table2M  lazyModel
-	ablation lazyModel
+	midSizeM lazyModel
 )
 
 func sys0(b *testing.B) *hydra.Model {
@@ -161,16 +164,16 @@ func BenchmarkFig7Transient(b *testing.B) {
 	b.ReportMetric(float64(len(targets)), "target-states")
 }
 
-// ablationModel is a mid-size voting system shared by the ablations.
-func ablationSS(b *testing.B) *hydra.Model {
-	return ablation.get(b, func() (*hydra.Model, error) { return hydra.VotingConfig(18, 6, 3) })
+// midSize is a mid-size voting system shared by the design studies.
+func midSize(b *testing.B) *hydra.Model {
+	return midSizeM.get(b, func() (*hydra.Model, error) { return hydra.VotingConfig(18, 6, 3) })
 }
 
-// BenchmarkAblationIterativeVsDirect times one s-point solved by the
+// BenchmarkIterativeVsDirect times one s-point solved by the
 // Eq. (10) iteration, the Gauss–Seidel form of Eq. (3), and dense
 // elimination — the O(N²r) / O(N³) comparison of §3.
-func BenchmarkAblationIterativeVsDirect(b *testing.B) {
-	m := ablationSS(b)
+func BenchmarkIterativeVsDirect(b *testing.B) {
+	m := midSize(b)
 	p6, p7 := m.PlaceIndex("p6"), m.PlaceIndex("p7")
 	targets := m.States(func(mk hydra.Marking) bool { return mk[p7] >= 6 || mk[p6] >= 3 })
 	sv := passage.NewSolver(m.SMP(), passage.Options{})
@@ -189,9 +192,11 @@ func BenchmarkAblationIterativeVsDirect(b *testing.B) {
 	})
 	b.Run("gauss-seidel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sv.DirectLST(s, src, targets); err != nil {
+			v, err := sv.DirectVectorLST(s, targets)
+			if err != nil {
 				b.Fatal(err)
 			}
+			_ = src.Dot(v)
 			s += 1e-9
 		}
 	})
@@ -205,10 +210,10 @@ func BenchmarkAblationIterativeVsDirect(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEulerVsLaguerre compares the end-to-end cost of the
+// BenchmarkEulerVsLaguerre compares the end-to-end cost of the
 // two inverters on the same 10-t-point density: Euler needs 33 s-points
 // per t-point, Laguerre a flat 400.
-func BenchmarkAblationEulerVsLaguerre(b *testing.B) {
+func BenchmarkEulerVsLaguerre(b *testing.B) {
 	m := sys0(b)
 	p2 := m.PlaceIndex("p2")
 	targets := m.States(func(mk hydra.Marking) bool { return mk[p2] >= 18 })
@@ -227,9 +232,9 @@ func BenchmarkAblationEulerVsLaguerre(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationInterning measures kernel assembly with the interned
+// BenchmarkInterning measures kernel assembly with the interned
 // distribution table against naive per-term transform evaluation.
-func BenchmarkAblationInterning(b *testing.B) {
+func BenchmarkInterning(b *testing.B) {
 	m := table2M.get(b, func() (*hydra.Model, error) { return hydra.VotingConfig(30, 10, 3) })
 	model := m.SMP()
 	u := model.NewKernelMatrix()
@@ -257,13 +262,13 @@ func BenchmarkAblationInterning(b *testing.B) {
 	b.ReportMetric(float64(model.NumDistributions()), "distinct-dists")
 }
 
-// BenchmarkAblationCheckpoint measures the write-path overhead of
+// BenchmarkCheckpoint measures the write-path overhead of
 // checkpointing a pipeline run.
-func BenchmarkAblationCheckpoint(b *testing.B) {
+func BenchmarkCheckpoint(b *testing.B) {
 	m := sys0(b)
 	p2 := m.PlaceIndex("p2")
 	targets := m.States(func(mk hydra.Marking) bool { return mk[p2] >= 18 })
-	job, err := m.NewPassageJob("ablation-ckpt", []int{0}, targets, []float64{20, 30}, false, nil)
+	job, err := m.NewPassageJob("checkpoint-bench", []int{0}, targets, []float64{20, 30}, false, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

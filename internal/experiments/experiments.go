@@ -2,8 +2,8 @@
 // evaluation (§5.3): Table 1 (state-space sizes), Table 2 (distributed
 // scalability), Fig. 4 (passage-time density vs simulation), Fig. 5
 // (passage CDF and quantile), Fig. 6 (failure-mode passage density vs
-// simulation) and Fig. 7 (transient vs steady state). The same harness
-// backs cmd/hydra-bench and the root benchmark suite.
+// simulation) and Fig. 7 (transient vs steady state). cmd/hydra-bench
+// prints them; performance workloads live in benchmark/, not here.
 //
 // Absolute numbers necessarily differ from the paper's 2003 testbed; the
 // reproduction targets are the published shapes: who wins, the curve
@@ -19,7 +19,6 @@ import (
 	"hydra"
 	"hydra/internal/lt"
 	"hydra/internal/passage"
-	"hydra/internal/petri"
 	"hydra/internal/pipeline"
 	"hydra/internal/voting"
 )
@@ -110,10 +109,11 @@ func (c Table2Config) withDefaults() Table2Config {
 //
 // Two result groups are returned. "measured" rows run the in-process
 // worker pool at the requested widths on this machine. "projected" rows
-// replay the measured per-point service times through an LPT schedule on
-// W hypothetical workers — the calibrated stand-in for the paper's
-// 32-node cluster (workers never communicate, so makespan scheduling is
-// the exact cost model of §4's architecture).
+// are a projection, not a run: they replay the measured per-point
+// service times through an LPT (longest-processing-time) schedule on W
+// hypothetical workers — the calibrated stand-in for the paper's 32-node
+// cluster (workers never communicate, so makespan scheduling is the cost
+// model of §4's architecture, with communication taken as free).
 func Table2(cfg Table2Config) ([]Table2Row, error) {
 	cfg = cfg.withDefaults()
 	m, err := hydra.VotingConfig(cfg.CC, cfg.MM, cfg.NN)
@@ -438,11 +438,4 @@ func linspace(lo, hi float64, n int) []float64 {
 		out[i] = lo + float64(i)*step
 	}
 	return out
-}
-
-// exploreVoting builds a raw state space for ablations.
-func exploreVoting(cc, mm, nn int) (*petri.StateSpace, voting.Config, error) {
-	cfg := voting.Config{CC: cc, MM: mm, NN: nn}
-	ss, err := voting.Build(cfg, voting.DefaultDurations(), petri.ExploreOptions{})
-	return ss, cfg, err
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"hydra/internal/obs"
 )
 
 func TestTable1SmallSystemsExact(t *testing.T) {
@@ -119,73 +117,5 @@ func TestFig7ConvergesToSteadyState(t *testing.T) {
 		if v < -1e-6 || v > 1 {
 			t.Errorf("transient[%d] = %v outside [0,1]", i, v)
 		}
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	if rows, err := AblationIterativeVsDirect(10, 3, 2, 8); err != nil || len(rows) != 2 {
-		t.Fatalf("iterative-vs-direct: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationEulerVsLaguerre(4); err != nil || len(rows) != 2 {
-		t.Fatalf("euler-vs-laguerre: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationInterning(12, 4, 2, 3); err != nil || len(rows) != 2 {
-		t.Fatalf("interning: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationCheckpoint(t.TempDir()); err != nil || len(rows) != 3 {
-		t.Fatalf("checkpoint: %v (%d rows)", err, len(rows))
-	}
-}
-
-// TestShardScalingRuns exercises the sharded-vs-monolithic datapoint
-// end to end on a tiny workload: every strategy arm must complete over
-// real loopback fleets, agree within solver tolerance (enforced inside
-// ShardScaling), and report the shard telemetry. Speedup is not
-// asserted — the 2061-state model is deliberately in the regime where
-// the exchange tax loses, and CI records the real datapoint at scale.
-func TestShardScalingRuns(t *testing.T) {
-	rows, err := ShardScaling(ShardScalingConfig{CC: 18, MM: 6, NN: 3, Points: 2, Workers: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStrategies := []string{"planned", "planned+batched"}
-	if len(rows) != len(wantStrategies) {
-		t.Fatalf("rows = %d, want one per strategy (%d)", len(rows), len(wantStrategies))
-	}
-	for i, r := range rows {
-		if r.Strategy != wantStrategies[i] {
-			t.Errorf("row %d strategy = %q, want %q", i, r.Strategy, wantStrategies[i])
-		}
-		if r.Workers != 2 || r.Points != 2 {
-			t.Errorf("row shape %+v", r)
-		}
-		if r.MonoSeconds <= 0 || r.ShardSeconds <= 0 || r.MonoProjSeconds <= 0 || r.ShardProjSeconds <= 0 {
-			t.Errorf("non-positive timings: %+v", r)
-		}
-		if r.ShardSweeps == 0 || r.ShardExchanged == 0 || r.ShardBoundary == 0 || r.NaiveBoundary < r.ShardBoundary {
-			t.Errorf("shard telemetry missing: %+v", r)
-		}
-	}
-}
-
-// TestObsOverheadRuns exercises the instrumentation-overhead datapoint
-// end to end on a tiny workload: both modes must complete, the global
-// enabled flag must be restored, and the measured times must be
-// positive (the overhead itself is noise-dominated at this scale, so
-// only sanity is asserted — CI records the real datapoint).
-func TestObsOverheadRuns(t *testing.T) {
-	enabledBefore := obs.Enabled()
-	res, err := ObsOverhead(ObsOverheadConfig{TPoints: 1, Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Enabled() != enabledBefore {
-		t.Errorf("ObsOverhead left the global enabled flag at %v, want %v restored", obs.Enabled(), enabledBefore)
-	}
-	if res.EnabledSeconds <= 0 || res.DisabledSeconds <= 0 {
-		t.Errorf("non-positive solve times: %+v", res)
-	}
-	if res.Points <= 0 {
-		t.Errorf("no points evaluated: %+v", res)
 	}
 }

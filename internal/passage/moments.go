@@ -41,11 +41,17 @@ func (mo *Moments) Variance(i int) float64 {
 // means. It sweeps in descending state index: the equations are
 // backward (state i reads its successors), and a breadth-first state
 // space numbers the states near the targets last, so this order carries
-// what is known at the targets toward the source within one sweep. The second-moment system only reads the first, so the joint
-// sweep has the fixed point of solving them one after the other. The
-// means stop moving once they pass their tolerance — they are then the
-// iterate a first-moment solve on its own would have returned — and the
-// second moments run on until they pass theirs.
+// what is known at the targets toward the source within one sweep. The
+// second-moment system only reads the first, so the joint sweep has the
+// fixed point of solving them one after the other.
+//
+// The stopping test is per state: a moment has converged when every
+// state's change over one sweep is at most GSEpsilon times that state's
+// own value. A normwise test would let the states with the smallest
+// moments, orders of magnitude below the largest, stop with far less
+// relative accuracy than the rest. The means stop moving once they pass
+// the test — they are then the iterate a first-moment solve on its own
+// would have returned — and the second moments run on until they pass it.
 func PassageMoments(m *smp.Model, targets []int, opts Options) (*Moments, error) {
 	opts = opts.withDefaults()
 	n := m.N()
@@ -95,9 +101,10 @@ func PassageMoments(m *smp.Model, targets []int, opts Options) (*Moments, error)
 	// which no other state reads, go to tgt.
 	x := make([]float64, 2*n)
 	tgt := make([]float64, 2*n)
+	eps := opts.GSEpsilon
 	meanDone := false
 	for iter := 0; iter < opts.GSMaxIter; iter++ {
-		var worstM, worstS, l1M, l1S float64
+		meanOK, secondOK := true, true
 		for i := n - 1; i >= 0; i-- {
 			to, prob, did := m.TermSlices(i)
 			sumM, sumS := m1[i], m2[i]
@@ -111,20 +118,14 @@ func PassageMoments(m *smp.Model, targets []int, opts Options) (*Moments, error)
 				own = tgt[2*i : 2*i+2]
 			}
 			if !meanDone {
-				if d := math.Abs(sumM - own[0]); d > worstM {
-					worstM = d
-				}
+				meanOK = meanOK && math.Abs(sumM-own[0]) <= eps*math.Abs(sumM)
 				own[0] = sumM
-				l1M += math.Abs(sumM)
 			}
-			if d := math.Abs(sumS - own[1]); d > worstS {
-				worstS = d
-			}
+			secondOK = secondOK && math.Abs(sumS-own[1]) <= eps*math.Abs(sumS)
 			own[1] = sumS
-			l1S += math.Abs(sumS)
 		}
-		meanDone = meanDone || worstM < opts.GSEpsilon*(1+l1M/float64(n))
-		if meanDone && worstS < opts.GSEpsilon*(1+l1S/float64(n)) {
+		meanDone = meanDone || meanOK
+		if meanDone && secondOK {
 			mo := &Moments{Mean: make([]float64, n), Second: make([]float64, n)}
 			for i := range mo.Mean {
 				own := x

@@ -342,22 +342,9 @@ func (sv *Solver) directVectorSolve(s complex128) ([]complex128, error) {
 	return nil, fmt.Errorf("%w: Gauss–Seidel after %d sweeps at s=%v", ErrNoConvergence, sv.opts.GSMaxIter, s)
 }
 
-// DirectLST is the α̃-weighted scalar form of DirectVectorLST: the
-// Gauss–Seidel oracle for the column driver.
-func (sv *Solver) DirectLST(s complex128, src SourceWeights, targets []int) (complex128, error) {
-	if err := src.validate(sv.m.N()); err != nil {
-		return 0, err
-	}
-	x, err := sv.DirectVectorLST(s, targets)
-	if err != nil {
-		return 0, err
-	}
-	return src.Dot(x), nil
-}
-
-// DirectDenseLST solves the same system by dense Gaussian elimination —
+// DirectDenseLST solves the passage system by dense Gaussian elimination —
 // O(N³), usable only on small models, kept as the ground-truth oracle for
-// tests and the ablation bench.
+// tests.
 func (sv *Solver) DirectDenseLST(s complex128, src SourceWeights, targets []int) (complex128, error) {
 	if err := src.validate(sv.m.N()); err != nil {
 		return 0, err

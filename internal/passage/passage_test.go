@@ -168,10 +168,11 @@ func TestIterativeMatchesDirectSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: iterative: %v", trial, err)
 		}
-		gs, err := sv.DirectLST(s, src, targets)
+		gsVec, err := sv.DirectVectorLST(s, targets)
 		if err != nil {
 			t.Fatalf("trial %d: GS: %v", trial, err)
 		}
+		gs := src.Dot(gsVec)
 		dn, err := sv.DirectDenseLST(s, src, targets)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
@@ -367,14 +368,14 @@ func TestInputValidation(t *testing.T) {
 	if _, _, err := sv.VectorLST(1, nil); err == nil {
 		t.Error("accepted empty target set")
 	}
-	if _, err := sv.DirectLST(1, SingleSource(9), []int{1}); err == nil {
+	if _, err := sv.DirectDenseLST(1, SingleSource(9), []int{1}); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 	if _, _, err := sv.VectorLST(1, []int{7}); err == nil {
 		t.Error("accepted out-of-range target")
 	}
 	bad := SourceWeights{States: []int{0, 1}, Weights: []float64{0.2, 0.2}}
-	if _, err := sv.DirectLST(1, bad, []int{1}); err == nil {
+	if _, err := sv.DirectDenseLST(1, bad, []int{1}); err == nil {
 		t.Error("accepted weights not summing to 1")
 	}
 	for _, s := range []complex128{0, -0.5 + 2i, complex(math.NaN(), 0)} {
@@ -449,7 +450,7 @@ func paperIncrementLST(t *testing.T, sv *Solver, s complex128, src SourceWeights
 }
 
 func TestPaperIncrementCriterionCanTruncateEarly(t *testing.T) {
-	// Ablation evidence: on a passage whose first increments are zero
+	// On a passage whose first increments are zero
 	// (target three hops away), the literal Eq. (11) rule stops at r=1
 	// with L=0 while the tail-bound rule is exact. This motivates the
 	// solvers' rule.

@@ -19,9 +19,6 @@ import (
 // kernelGraph adapts a model's kernel sparsity to partition.Graph.
 type kernelGraph struct{ m *smp.Model }
 
-// KernelGraph presents a model's kernel sparsity to the partitioner.
-func KernelGraph(m *smp.Model) partition.Graph { return kernelGraph{m} }
-
 func (g kernelGraph) NumRows() int                  { return g.m.N() }
 func (g kernelGraph) Neighbors(i int, fn func(int)) { g.m.KernelCols(i, fn) }
 

@@ -15,16 +15,19 @@ import (
 // coalescing flight: one surface per (model, canonical target set,
 // method). Sources and probability levels are deliberately absent — a
 // surface answers every weighting and every level, which is the whole
-// point of building it.
+// point of building it. TestSurfaceFingerprintGolden pins the strings,
+// which job records also carry.
 func surfaceFingerprint(modelID string, targets []int, method string) string {
-	h := sha256.New()
-	h.Write([]byte("surface\x00" + modelID + "\x00" + method + "\x00"))
 	canon := hydra.CanonicalStates(targets)
-	_ = binary.Write(h, binary.LittleEndian, int64(len(canon)))
+	prefix := "surface\x00" + modelID + "\x00" + method + "\x00"
+	buf := make([]byte, 0, len(prefix)+8*(1+len(canon)))
+	buf = append(buf, prefix...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(canon)))
 	for _, v := range canon {
-		_ = binary.Write(h, binary.LittleEndian, int64(v))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:16])
 }
 
 // surfaceCache is a small LRU of built quantile surfaces. A surface is
@@ -81,15 +84,14 @@ func (c *surfaceCache) put(fp string, s *hydra.Surface) int {
 }
 
 // surface returns the quantile CDF surface for (model, targets, method),
-// building it at most once: a resident surface is a hit; a miss
-// coalesces concurrent builders under the surface fingerprint so one
+// whose surfaceFingerprint is fp, building it at most once: a resident
+// surface is a hit; a miss coalesces concurrent builders under fp so one
 // adaptive-grid solve serves every waiter. The build runs through the
 // tiered result cache, so a rebuild after eviction or restart replays
 // its grid stages from cached s-points. Returns the surface, whether
 // this caller coalesced onto another's build, and whether it was a
 // resident hit.
-func (s *Scheduler) surface(m *hydra.Model, modelID string, targets []int, method string, workers int, reqID string) (*hydra.Surface, bool, bool, error) {
-	fp := surfaceFingerprint(modelID, targets, method)
+func (s *Scheduler) surface(m *hydra.Model, fp, modelID string, targets []int, method string, workers int) (*hydra.Surface, bool, bool, error) {
 	s.mu.Lock()
 	if surf, ok := s.surfaces.get(fp); ok {
 		s.mu.Unlock()
@@ -157,7 +159,8 @@ func (s *Scheduler) checkSurface(m *hydra.Model, modelID string, targets []int, 
 // The record's CacheHit reports a resident-surface hit; Coalesced
 // reports joining another request's in-flight build.
 func (s *Scheduler) RunQuantileBatch(m *hydra.Model, modelID string, queries []hydra.QuantileQuery, targets []int, method string, workers int, reqID string) *JobRecord {
-	rec := s.newRecord(modelID, "quantile-batch", surfaceFingerprint(modelID, targets, method), reqID)
+	fp := surfaceFingerprint(modelID, targets, method)
+	rec := s.newRecord(modelID, "quantile-batch", fp, reqID)
 	if len(queries) == 0 {
 		s.finish(rec, nil, false, false, fmt.Errorf("batched quantile request needs at least one query"), ErrInvalidRequest)
 		return rec
@@ -178,7 +181,7 @@ func (s *Scheduler) RunQuantileBatch(m *hydra.Model, modelID string, queries []h
 		s.finish(rec, nil, false, false, err, ErrInvalidRequest)
 		return rec
 	}
-	surf, coalesced, hit, err := s.surface(m, modelID, targets, method, workers, reqID)
+	surf, coalesced, hit, err := s.surface(m, fp, modelID, targets, method, workers)
 	if err != nil {
 		s.finish(rec, nil, coalesced, false, err, ErrExecution)
 		return rec
@@ -206,12 +209,13 @@ func (s *Scheduler) RunQuantileBatch(m *hydra.Model, modelID string, queries []h
 // shares the same fingerprint flight as query-triggered builds, so a
 // prewarm racing a live request coalesces instead of solving twice.
 func (s *Scheduler) PrewarmSurface(m *hydra.Model, modelID string, targets []int, method string, workers int, reqID string) *JobRecord {
-	rec := s.newRecord(modelID, "surface-prewarm", surfaceFingerprint(modelID, targets, method), reqID)
+	fp := surfaceFingerprint(modelID, targets, method)
+	rec := s.newRecord(modelID, "surface-prewarm", fp, reqID)
 	if err := s.checkSurface(m, modelID, targets, method); err != nil {
 		s.finish(rec, nil, false, false, err, ErrInvalidRequest)
 		return rec
 	}
-	surf, coalesced, hit, err := s.surface(m, modelID, targets, method, workers, reqID)
+	surf, coalesced, hit, err := s.surface(m, fp, modelID, targets, method, workers)
 	if err != nil {
 		s.finish(rec, nil, coalesced, false, err, ErrExecution)
 		return rec
