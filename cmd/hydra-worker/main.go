@@ -52,7 +52,7 @@ func main() {
 		backoffMax = flag.Duration("backoff-max", 30*time.Second, "upper bound on the reconnect backoff")
 		debugAddr  = flag.String("pprof", "", "serve /metrics and /debug/pprof/ on this address (e.g. :9442); empty disables")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-		warm       = flag.Bool("warm", true, "warm-start iterative solves from the previous s-point of a contour batch")
+		warm       = flag.Bool("warm", true, "warm-start iterative solves from the previous s-point of a contour batch: Gauss–Seidel refinement of its solution, answers equal to cold ones within solver tolerance")
 	)
 	flag.Parse()
 	if *master == "" {

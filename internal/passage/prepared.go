@@ -26,23 +26,17 @@ const (
 type prepared struct {
 	key string
 
-	// dirZ/dirZPrev/dirZPrev2 are the last three converged fixed points
-	// z of the column driver: with one the next point seeds from its
-	// neighbour (error O(h) in the contour step), with two or three it
-	// seeds from their linear or quadratic extrapolation (O(h²), O(h³)),
-	// which is worth a few extra decades of head start at one vector
-	// combination. dirX is the last converged Gauss–Seidel iterate (the
-	// direct route's). dirCold records the depth of the segment's most
-	// recent cold solve, the baseline for sweeps-saved estimates.
-	dirZ      []complex128
-	dirZPrev  []complex128
-	dirZPrev2 []complex128
-	zWarm     bool
-	zPrev     bool
-	zPrev2    bool
-	dirX      []complex128
-	dirWarm   bool
-	dirCold   int
+	// dirZ is the last converged fixed point z of the column driver,
+	// which the next point's Gauss–Seidel refinement sweeps in place;
+	// zWarm says it is usable. dirX is the last converged Gauss–Seidel
+	// iterate of the direct route. dirCold records the depth of the
+	// segment's most recent cold solve, the baseline for sweeps-saved
+	// estimates.
+	dirZ    []complex128
+	zWarm   bool
+	dirX    []complex128
+	dirWarm bool
+	dirCold int
 }
 
 // preparedKey canonically names a (quantity, target list) pair. The

@@ -17,11 +17,13 @@ import (
 // member (an in-process ShardSolver or a remote worker behind the fleet
 // wire), and the conductor drives lock-step sweeps in which members
 // exchange only boundary sub-vector entries. The arithmetic is arranged
-// so a sharded solve is bitwise identical to the monolithic passage
-// solve (the column driver's series / refine pair in vector.go): every
-// row product traverses the same CSR entries in the same order, the
-// global increment norm is the max over block norms, and the shared
-// convGauge makes the stopping decision at the same sweep.
+// so a cold sharded solve is bitwise identical to the monolithic cold
+// series in vector.go: every row product traverses the same CSR entries
+// in the same order, the global increment norm is the max over block
+// norms, and the shared convGauge makes the stopping decision at the
+// same sweep. Warm points refine by Jacobi sweeps from an extrapolated
+// seed, which agree with the monolithic Gauss–Seidel refinement to
+// solver tolerance.
 
 // ShardMember is one row block's side of the distributed sweep
 // protocol. The conductor calls, in order: HaloColumns and SetBoundary
@@ -117,9 +119,8 @@ type ShardSolver struct {
 
 	mode shardMode // iteration style of the current point
 
-	// Block-local warm-start history, mirroring prepared.dirZ* exactly:
-	// the extrapolation variants are pointwise, so per-block histories
-	// reproduce the monolithic seed restricted to the block.
+	// Block-local warm-start history: the last three converged fixed
+	// points, extrapolated pointwise into the next seed.
 	dirZ, dirZPrev, dirZPrev2 []complex128
 	zWarm, zPrev, zPrev2      bool
 

@@ -78,10 +78,10 @@ func TestShardedMatchesMonolithicCold(t *testing.T) {
 }
 
 // TestShardedMatchesMonolithicWarm runs the same differential property
-// with warm starts on: the sharded session must track the monolithic
-// VectorLST through the cold first point, the neighbour-seeded second,
-// and the extrapolation-seeded rest, including the per-block history
-// rotation.
+// with warm starts on: the sharded session must track the Jacobi warm
+// reference (jacobiWarmRef) through the cold first point, the
+// neighbour-seeded second, and the extrapolation-seeded rest, including
+// the per-block history rotation.
 func TestShardedMatchesMonolithicWarm(t *testing.T) {
 	r := rand.New(rand.NewSource(977))
 	for trial := 0; trial < 15; trial++ {
@@ -90,12 +90,12 @@ func TestShardedMatchesMonolithicWarm(t *testing.T) {
 		targets := randomTargets(r, n)
 		points := contourPoints(r, 3+r.Intn(4))
 		opts := Options{WarmStart: true}
-		mono := NewSolver(m, opts)
+		ref := newJacobiWarmRef(m, opts)
 		want := make([][]complex128, len(points))
 		for i, s := range points {
-			v, _, err := mono.VectorLST(s, targets)
+			v, err := ref.VectorLST(s, targets)
 			if err != nil {
-				t.Fatalf("trial %d: monolithic: %v", trial, err)
+				t.Fatalf("trial %d: Jacobi reference: %v", trial, err)
 			}
 			want[i] = v
 		}
@@ -107,7 +107,7 @@ func TestShardedMatchesMonolithicWarm(t *testing.T) {
 			for i := range points {
 				for j := 0; j < n; j++ {
 					if d := cmplx.Abs(got[i][j] - want[i][j]); d > 1e-12 {
-						t.Errorf("trial %d parts %d point %d state %d: sharded %v vs mono %v (diff %g)",
+						t.Errorf("trial %d parts %d point %d state %d: sharded %v vs reference %v (diff %g)",
 							trial, parts, i, j, got[i][j], want[i][j], d)
 					}
 				}
@@ -116,10 +116,50 @@ func TestShardedMatchesMonolithicWarm(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesGaussSeidelWarmWithinTolerance compares the
+// monolithic warm route, which refines by Gauss–Seidel, with the
+// sharded Jacobi answers: the two iterations stop at different iterates
+// of one fixed point, so they agree to the solver contract that
+// TestWarmStartMatchesColdWithinTolerance holds warm against cold.
+func TestShardedMatchesGaussSeidelWarmWithinTolerance(t *testing.T) {
+	r := rand.New(rand.NewSource(977))
+	warmSeen := false
+	for trial := 0; trial < 15; trial++ {
+		n := 4 + r.Intn(20)
+		m := randomSMP(r, n)
+		targets := randomTargets(r, n)
+		points := contourPoints(r, 3+r.Intn(4))
+		opts := Options{WarmStart: true}
+		got, _, err := SolveSharded(m, opts, 3, targets, points, 0)
+		if err != nil {
+			t.Fatalf("trial %d: sharded: %v", trial, err)
+		}
+		mono := NewSolver(m, opts)
+		for i, s := range points {
+			v, _, err := mono.VectorLST(s, targets)
+			if err != nil {
+				t.Fatalf("trial %d: monolithic: %v", trial, err)
+			}
+			if w, _ := mono.LastWarmStart(); w {
+				warmSeen = true
+			}
+			for j := range v {
+				if d := cmplx.Abs(got[i][j] - v[j]); d > 1e-6 {
+					t.Errorf("trial %d point %d state %d: sharded %v vs Gauss–Seidel warm %v (diff %g)",
+						trial, i, j, got[i][j], v[j], d)
+				}
+			}
+		}
+	}
+	if !warmSeen {
+		t.Fatal("the monolithic warm route never ran")
+	}
+}
+
 // TestShardedSegmentBoundariesRestartCold mirrors the pipeline's
 // contour-block rule: an index at a multiple of the segment hint starts
-// cold. The monolithic reference reproduces that by recreating its
-// solver at each boundary.
+// cold. The Jacobi warm reference reproduces that by being recreated at
+// each boundary.
 func TestShardedSegmentBoundariesRestartCold(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	n := 18
@@ -130,12 +170,12 @@ func TestShardedSegmentBoundariesRestartCold(t *testing.T) {
 	opts := Options{WarmStart: true}
 
 	want := make([][]complex128, len(points))
-	var mono *Solver
+	var ref *jacobiWarmRef
 	for i, s := range points {
 		if i%segment == 0 {
-			mono = NewSolver(m, opts)
+			ref = newJacobiWarmRef(m, opts)
 		}
-		v, _, err := mono.VectorLST(s, targets)
+		v, err := ref.VectorLST(s, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +188,7 @@ func TestShardedSegmentBoundariesRestartCold(t *testing.T) {
 	for i := range points {
 		for j := 0; j < n; j++ {
 			if d := cmplx.Abs(got[i][j] - want[i][j]); d > 1e-12 {
-				t.Errorf("point %d state %d: sharded %v vs mono %v (diff %g)", i, j, got[i][j], want[i][j], d)
+				t.Errorf("point %d state %d: sharded %v vs reference %v (diff %g)", i, j, got[i][j], want[i][j], d)
 			}
 		}
 	}

@@ -23,8 +23,9 @@ import (
 //
 // Every |A| row sum is at most h*_i(Re s) < 1 for Re(s) > 0, so the
 // Neumann series b + A·b + A²·b + … converges there, and the max norm of
-// its last increment bounds what the remaining terms can add. One
-// convGauge judges the cold series and the warm refinement alike.
+// its last increment bounds what the remaining terms can add. The cold
+// route sums that series; the warm route (refine) sweeps the same fixed
+// point by Gauss–Seidel. One convGauge judges both.
 //
 // The paper's row form, L̃ = (α̃U + α̃UU′ + α̃UU′² + …)·e⃗, is the same
 // sum read through one source weighting: SourceWeights.Dot of the column
@@ -33,11 +34,11 @@ import (
 // VectorLST computes the source-indexed passage vector L_·j⃗(s). With
 // WarmStart off (or on the first point of a segment) it sums the Eq. (10)
 // series; once a converged fixed point over the same target set exists
-// it continues the iteration from that neighbouring s-point (refine),
-// which typically converges in a fraction of the cold depth on a smooth
-// contour. The returned depth is the series depth or the refinement
-// sweep count, whichever route ran — both measure one kernel traversal
-// per unit. A warm solve that fails to converge falls back to the cold
+// it refines that neighbouring s-point's z by descending Gauss–Seidel
+// sweeps (refine), which on a smooth contour converge in about a quarter
+// of the cold depth. The returned depth is the series depth or the
+// refinement sweep count, whichever route ran — both measure one kernel
+// traversal per unit. A warm solve that fails to converge falls back to the cold
 // series, so WarmStart never turns a solvable point into an error.
 func (sv *Solver) VectorLST(s complex128, targets []int) ([]complex128, int, error) {
 	if err := sv.preparePassage(s, targets); err != nil {
@@ -66,11 +67,12 @@ func (sv *Solver) preparePassage(s complex128, targets []int) error {
 	return nil
 }
 
-// closePassage returns L = U·z in a fresh vector. A refined z satisfies
-// z = e⃗ + U′·z to the certified tail bound, and U′ differs from U only
-// in the zeroed target rows, so the non-target rows of U·z are z itself
-// and only the target rows need a real row product — which drops the
-// closing full-kernel traversal. A cold series sum stops one increment
+// closePassage returns L = U·z in a fresh vector. A refined z, a
+// converged Gauss–Seidel iterate, satisfies z = e⃗ + U′·z to the
+// certified tail bound, and U′ differs from U only in the zeroed target
+// rows, so the non-target rows of U·z are z itself and only the target
+// rows need a real row product — which drops the closing full-kernel
+// traversal. A cold series sum stops one increment
 // short of that identity, so it takes the full product.
 func (sv *Solver) closePassage(z []complex128, warm bool) []complex128 {
 	out := make([]complex128, len(z))
@@ -97,15 +99,28 @@ func (sv *Solver) closePassage(z []complex128, warm bool) []complex128 {
 // the neighbouring s-point's solution when WarmStart is on and one
 // exists, otherwise — or when that refinement stalls — by the cold
 // series. It returns z (possibly a solver workspace, valid until the
-// next solve), the depth, and whether the warm route produced it.
+// next solve), the depth, and whether the warm route produced it, and
+// records the depth, the sweeps-saved accounting and, with WarmStart
+// on, z as the next point's seed.
 func (sv *Solver) fixedPoint(s complex128) ([]complex128, int, bool, error) {
-	if p := sv.cur; sv.opts.WarmStart && p.zWarm && len(p.dirZ) == sv.m.N() {
-		if z, r, err := sv.refine(s); err == nil {
-			return z, r, true, nil
+	p := sv.cur
+	if sv.opts.WarmStart && p.zWarm && len(p.dirZ) == sv.m.N() {
+		if r, err := sv.refine(s, p.dirZ); err == nil {
+			sv.lastSweeps = r
+			sv.noteWarm(true)
+			return p.dirZ, r, true, nil
 		}
-		// Non-convergence marks the seed stale; rerun cold below.
+		// The failed refinement overwrote the seed; rerun cold.
+		p.zWarm, sv.lastWarm, sv.lastSaved = false, false, 0
 	}
 	z, r, err := sv.series(s)
+	if err == nil {
+		sv.lastSweeps = r
+		sv.noteWarm(false)
+		if sv.opts.WarmStart {
+			p.dirZ, p.zWarm = append(p.dirZ[:0], z...), true
+		}
+	}
 	return z, r, false, err
 }
 
@@ -126,7 +141,6 @@ func (sv *Solver) series(s complex128) ([]complex128, int, error) {
 			return nil, r, nonFinite(s, r)
 		}
 		if gauge.converged(m, 1) {
-			sv.settle(z, r, false)
 			return z, r, nil
 		}
 	}
@@ -134,91 +148,28 @@ func (sv *Solver) series(s complex128) ([]complex128, int, error) {
 		ErrNoConvergence, sv.opts.MaxR, s, maxNorm(sv.acc))
 }
 
-// refine continues the iteration x ← b + A·x from the neighbouring
-// s-point's converged z — or, once two or three neighbours exist, from
-// their linear or quadratic extrapolation, whose smaller seed error buys
-// several extra contraction decades of head start. Each sweep costs one
-// kernel traversal, the same as one series term, so on a smooth contour
-// the refinement replaces a full depth-r series with a fraction of the
-// sweeps. The same geometric tail bound as the cold series certifies
-// the result: ρ(A) < 1 for Re(s) > 0, so ‖z* − x_r‖∞ ≤ m·ρ/(1−ρ) with m
-// the last change.
-func (sv *Solver) refine(s complex128) ([]complex128, int, error) {
-	p := sv.cur
-	n := sv.m.N()
-	x, y := sv.acc, sv.next
-	switch {
-	case p.zPrev2 && len(p.dirZPrev2) == n:
-		// Quadratic extrapolation through the last three fixed points.
-		for i := range x {
-			x[i] = 3*(p.dirZ[i]-p.dirZPrev[i]) + p.dirZPrev2[i]
-		}
-	case p.zPrev && len(p.dirZPrev) == n:
-		for i := range x {
-			x[i] = 2*p.dirZ[i] - p.dirZPrev[i]
-		}
-	default:
-		copy(x, p.dirZ)
-	}
+// refine sweeps z, the neighbouring s-point's converged solution, in
+// place to this point's fixed point by Gauss–Seidel in descending state
+// order (sparse.CMatrix.SweepDescSkipRows) and returns the sweep count.
+// Every |A| row sum is below 1 for Re s > 0, so the sweep converges in
+// any row order; the order sets its speed. petri.Explore numbers states
+// breadth-first, so targets sit at high indices and a descending sweep
+// carries their information back to the sources within one sweep. Each
+// sweep is one kernel traversal, like one series term, and the same
+// geometric tail bound certifies the result.
+func (sv *Solver) refine(s complex128, z []complex128) (int, error) {
 	gauge := newConvGauge(sv.tol)
 	for r := 1; r <= sv.opts.MaxR; r++ {
-		sv.u.MulVecSkipRows(x, y, sv.absorb)
-		for i, isT := range sv.targets {
-			if isT {
-				y[i] += sv.rhs[i]
-			}
-		}
-		var m float64
-		for i := range y {
-			d := y[i] - x[i]
-			m = nanMax(m, math.Hypot(real(d), imag(d)))
-		}
-		x, y = y, x
+		m := math.Sqrt(sv.u.SweepDescSkipRows(z, sv.rhs, sv.absorb))
 		if !finite(m) {
-			sv.acc, sv.next = x, y
-			sv.staleSeed()
-			return nil, r, nonFinite(s, r)
+			return r, nonFinite(s, r)
 		}
 		if gauge.converged(m, 1) {
-			sv.acc, sv.next = x, y
-			sv.settle(x, r, true)
-			return x, r, nil
+			return r, nil
 		}
 	}
-	sv.acc, sv.next = x, y
-	sv.staleSeed()
-	return nil, sv.opts.MaxR, fmt.Errorf("%w: warm refinement after %d sweeps at s=%v",
+	return sv.opts.MaxR, fmt.Errorf("%w: warm refinement after %d sweeps at s=%v",
 		ErrNoConvergence, sv.opts.MaxR, s)
-}
-
-// staleSeed drops the current entry's warm-start history after a failed
-// refinement, so the point reruns cold.
-func (sv *Solver) staleSeed() {
-	sv.cur.zWarm, sv.cur.zPrev, sv.cur.zPrev2 = false, false, false
-	sv.lastWarm, sv.lastSaved = false, 0
-}
-
-// settle records a converged fixed point z of depth r on the current
-// entry: the depth for LastSweeps and the sweeps-saved accounting, and —
-// with WarmStart on — z as the next point's seed. A cold solve restarts
-// the extrapolation history; a warm one extends it.
-func (sv *Solver) settle(z []complex128, r int, warm bool) {
-	sv.lastSweeps = r
-	sv.noteWarm(warm)
-	if !sv.opts.WarmStart {
-		return
-	}
-	p := sv.cur
-	if warm {
-		p.dirZPrev2, p.dirZPrev, p.dirZ =
-			p.dirZPrev, p.dirZ, append(p.dirZPrev2[:0], z...)
-		p.zPrev2 = p.zPrev
-		p.zPrev = true
-		return
-	}
-	p.dirZ = append(p.dirZ[:0], z...)
-	p.zWarm = true
-	p.zPrev, p.zPrev2 = false, false
 }
 
 // maxNorm returns max_i |v_i|, NaN if any |v_i| is NaN.

@@ -82,10 +82,13 @@ func shardSpec(m *smp.Model, fp string, points []complex128, hint int) *SolveSpe
 }
 
 // TestFleetShardEquivalence is the end-to-end differential property
-// over the real wire: one solve sharded across three worker processes
-// (in-process TCP) must reproduce the monolithic warm-started solver to
-// within far under solver tolerance — the sharded sweep performs the
-// identical arithmetic in the identical order, just distributed.
+// over the real wire: one warm-started solve sharded across three worker
+// processes (in-process TCP) must reproduce the in-process sharded solve
+// of the same plan to within far under solver tolerance — the wire
+// carries the identical arithmetic in the identical order, just
+// distributed. (The monolithic warm route refines by Gauss–Seidel and
+// matches the sharded Jacobi sweep only to solver tolerance; the passage
+// package tests that.)
 func TestFleetShardEquivalence(t *testing.T) {
 	m := shardTestModel(t)
 	const fp = "fp-shard-eq"
@@ -96,14 +99,10 @@ func TestFleetShardEquivalence(t *testing.T) {
 	points := shardContour(6)
 	spec := shardSpec(m, fp, points, 3)
 
-	mono := passage.NewSolver(m, opts)
-	want := make([][]complex128, len(points))
-	for i, s := range points {
-		v, _, err := mono.VectorLST(s, spec.Targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = v
+	want, _, err := passage.SolveShardedPlanned(m, opts, 3, spec.Targets, points, spec.SegmentHint,
+		passage.ShardTuning{Overlap: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
@@ -123,7 +122,7 @@ func TestFleetShardEquivalence(t *testing.T) {
 		}
 		for j := 0; j < m.N(); j++ {
 			if d := cmplx.Abs(values[i][j] - want[i][j]); d > 1e-12 {
-				t.Errorf("point %d state %d: sharded %v vs mono %v (diff %g)", i, j, values[i][j], want[i][j], d)
+				t.Errorf("point %d state %d: fleet %v vs in-process sharded %v (diff %g)", i, j, values[i][j], want[i][j], d)
 			}
 		}
 	}

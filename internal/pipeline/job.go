@@ -154,23 +154,22 @@ func checkPoint(q Quantity, i int, s complex128) error {
 // engine (whose fingerprints covered sources and weights) can never
 // collide with vector records.
 func (sp *SolveSpec) Fingerprint() string {
-	h := sha256.New()
-	write := func(v any) {
-		_ = binary.Write(h, binary.LittleEndian, v)
-	}
-	h.Write([]byte("specv1\x00"))
-	h.Write([]byte(sp.Name))
-	write(int64(sp.Quantity))
-	write(int64(len(sp.Targets)))
+	const tag = "specv1\x00"
+	buf := make([]byte, 0, len(tag)+len(sp.Name)+8*(3+len(sp.Targets)+2*len(sp.Points)))
+	buf = append(buf, tag...)
+	buf = append(buf, sp.Name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(sp.Quantity))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sp.Targets)))
 	for _, t := range sp.Targets {
-		write(int64(t))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
 	}
-	write(int64(len(sp.Points)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sp.Points)))
 	for _, p := range sp.Points {
-		write(math.Float64bits(real(p)))
-		write(math.Float64bits(imag(p)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(p)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(p)))
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:16])
 }
 
 // Job is a complete scalar-curve request: a SolveSpec plus the source

@@ -38,6 +38,24 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestFingerprintGoldenShapes pins the fingerprint of the shapes the
+// hash layout must keep byte-identical beyond the reference job: an
+// empty name, a transient spec, and a contour-sized spec. The values
+// were computed by the per-field binary.Write implementation.
+func TestFingerprintGoldenShapes(t *testing.T) {
+	want := []string{
+		"3fb5260eccd17658433eec1f744d798f",
+		"20e659903ca606e22311f70406578722",
+		"cd3ff23760c41405cd6aaf84e3568c97",
+	}
+	for i, sp := range goldenSpecs() {
+		if got := sp.Fingerprint(); got != want[i] {
+			t.Errorf("spec %d (%q, %d targets, %d points): fingerprint %s, want %s (cache keys changed!)",
+				i, sp.Name, len(sp.Targets), len(sp.Points), got, want[i])
+		}
+	}
+}
+
 // TestFingerprintSensitivity checks every spec field participates in
 // the key, that no two distinct specs in the set collide — and that the
 // source weighting deliberately does NOT participate: requests that
@@ -183,5 +201,24 @@ func TestReadPoint(t *testing.T) {
 	got := j.ReadVectors(vecs)
 	if len(got) != 2 || got[0] != complex(1, 1.5) || got[1] != complex(2, 3) {
 		t.Errorf("ReadVectors = %v", got)
+	}
+}
+
+// goldenSpecs are the specs TestFingerprintGoldenShapes pins: an empty
+// name, a transient spec, and a contour-sized spec of 24 Euler
+// contours (792 points) over 111 targets.
+func goldenSpecs() []*SolveSpec {
+	big := &SolveSpec{Name: "voting-0:density", Quantity: PassageDensity}
+	for k := 0; k < 111; k++ {
+		big.Targets = append(big.Targets, 1950+k)
+	}
+	for k := 0; k < 792; k++ {
+		big.Points = append(big.Points, complex(0.25+float64(k/33)/7, 0.19*float64(k%33)-1/3.0))
+	}
+	return []*SolveSpec{
+		{Quantity: PassageCDF, Targets: []int{7}, Points: []complex128{complex(1.5, -0.25)}},
+		{Name: "voting-0:transient", Quantity: TransientDist, Targets: []int{3, 1, 4},
+			Points: []complex128{complex(0.125, 0), complex(0.125, math.Pi), complex(0.125, -math.Pi)}},
+		big,
 	}
 }

@@ -367,9 +367,9 @@ func (s *Scheduler) runSharedSolve(fp string, compute func() (*hydra.VectorRun, 
 // backend (the fleet, when configured) rides along so every computation
 // executes on it. Warm starts are on for every scheduled solve: the
 // server's workloads are whole contours, exactly the access pattern
-// the prepared-model cache and neighbouring-s seeding pay off on.
-// (Fleet workers enable warm starts with their own -warm flag; this
-// setting covers the in-process pool.)
+// the prepared-model cache and the Gauss–Seidel refinement from the
+// neighbouring s-point pay off on. (Fleet workers enable warm starts
+// with their own -warm flag; this setting covers the in-process pool.)
 func (s *Scheduler) jobOptions(method string, workers int) *hydra.Options {
 	if workers < 1 {
 		workers = s.workers

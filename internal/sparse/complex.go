@@ -88,6 +88,37 @@ func (m *CMatrix) MulVecSkipRows(x, y []complex128, skip []bool) {
 	}
 }
 
+// SweepDescSkipRows runs one in-place Gauss–Seidel sweep of z = b + M′·z,
+// M′ being M with every flagged row zeroed, in descending row order: for
+// i = n−1 … 0, z_i ← b_i, plus Σ_k m_ik·z_k unless row i is skipped, so
+// each row reads the values already updated above it. It returns the
+// largest squared change max_i |Δz_i|², NaN if any change is NaN. This
+// is the warm-start sweep of the column-form Eq. (10) iteration.
+func (m *CMatrix) SweepDescSkipRows(z, b []complex128, skip []bool) float64 {
+	if m.rows != m.cols || len(z) != m.rows || len(b) != m.rows || len(skip) != m.rows {
+		panic("sparse: CMatrix.SweepDescSkipRows dimension mismatch")
+	}
+	rowPtr, colIdx, val := m.rowPtr, m.colIdx, m.val
+	var worst float64
+	for i := m.rows - 1; i >= 0; i-- {
+		next := b[i]
+		if !skip[i] {
+			lo, hi := rowPtr[i], rowPtr[i+1]
+			vals := val[lo:hi]
+			for e, k := range colIdx[lo:hi] {
+				next += vals[e] * z[k]
+			}
+		}
+		d := next - z[i]
+		z[i] = next
+		// d2 != d2 keeps a NaN, which a bare d2 > worst would drop.
+		if d2 := real(d)*real(d) + imag(d)*imag(d); d2 > worst || d2 != d2 {
+			worst = d2
+		}
+	}
+	return worst
+}
+
 // RowSlices returns the column-index and value slices of row i, sharing
 // the matrix's backing arrays. It exists for tight per-row loops (the
 // Gauss–Seidel sweep, single-row products) that would otherwise pay a

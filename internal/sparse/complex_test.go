@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"slices"
@@ -121,6 +122,49 @@ func TestVecMulSkipRowsMatchesZeroedMatrix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSweepDescSkipRowsMatchesDenseGaussSeidel checks the in-place
+// sweep against a dense descending Gauss–Seidel step: skipped rows take
+// b_i alone, every other row reads the entries already updated above it,
+// and the returned value is the largest squared change.
+func TestSweepDescSkipRowsMatchesDenseGaussSeidel(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(15)
+		m, dense := randCMatrix(r, n, n, r.Intn(50))
+		z, b, skip := make([]complex128, n), make([]complex128, n), make([]bool, n)
+		for i := range z {
+			z[i], b[i], skip[i] = randComplex(r), randComplex(r), r.Intn(4) == 0
+		}
+		want := slices.Clone(z)
+		var wantMax float64
+		for i := n - 1; i >= 0; i-- {
+			next := b[i]
+			if !skip[i] {
+				for k := range want {
+					next += dense[i][k] * want[k]
+				}
+			}
+			d := next - want[i]
+			wantMax = max(wantMax, real(d)*real(d)+imag(d)*imag(d))
+			want[i] = next
+		}
+		got := m.SweepDescSkipRows(z, b, skip)
+		if !almostEq(got, wantMax, 1e-9*(1+wantMax)) {
+			t.Fatalf("trial %d: largest squared change %v, want %v", trial, got, wantMax)
+		}
+		for i := range z {
+			if !cAlmostEq(z[i], want[i], 1e-9) {
+				t.Fatalf("trial %d row %d: %v, want %v", trial, i, z[i], want[i])
+			}
+		}
+	}
+	m, _ := randCMatrix(r, 3, 3, 9)
+	z := []complex128{1, complex(0, 0), 2}
+	if got := m.SweepDescSkipRows(z, []complex128{0, complex(math.NaN(), 0), 0}, make([]bool, 3)); got == got {
+		t.Fatalf("NaN change reported as %v", got)
 	}
 }
 

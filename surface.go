@@ -268,21 +268,37 @@ func (m *Model) PassageSurface(name string, targets []int, cache Cache, opts *Op
 // columns), so the refinement loop above splits an interval exactly when
 // some weighting could be steep inside it. Cost is one inversion per
 // (state, grid point) — linear in states, well under the solve that
-// produced the vectors.
+// produced the vectors. It reads what ReadRun reads for each single
+// state, checking each run's vectors once.
 func (s *Surface) intervalJumps() ([]float64, float64, error) {
+	inv, err := s.opts.inverter()
+	if err != nil {
+		return nil, 0, err
+	}
+	n := s.model.NumStates()
+	for _, run := range s.runs {
+		for i, vec := range run.vr.Vectors {
+			if len(vec) != n {
+				return nil, 0, &PointVectorError{Point: i, Len: len(vec), Want: n}
+			}
+		}
+	}
 	jumps := make([]float64, len(s.times)-1)
 	vals := make([]float64, len(s.times))
 	var head float64
-	weight := []float64{1}
-	for st := 0; st < s.model.NumStates(); st++ {
-		state := []int{st}
+	var col []complex128
+	for st := 0; st < n; st++ {
 		for _, run := range s.runs {
-			r, err := ReadRun(run.vr, state, weight, run.times, s.opts)
+			col = col[:0]
+			for _, vec := range run.vr.Vectors {
+				col = append(col, vec[st])
+			}
+			f, err := inv.Invert(run.times, col)
 			if err != nil {
 				return nil, 0, err
 			}
 			for i, t := range run.times {
-				vals[s.gridIndex(t)] = r.Values[i]
+				vals[s.gridIndex(t)] = f[i]
 			}
 		}
 		// Clamp the same inversion noise buildColumn tolerates; a
