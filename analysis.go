@@ -41,10 +41,10 @@ type Options struct {
 	// entry point.
 	Surface SurfaceOptions
 	// Shard asks a fleet backend to split each solve's kernel into up to
-	// this many contiguous row blocks held by different workers (wire v4
-	// sharding) instead of farming whole s-points out — the right trade
-	// when one model is too large or too slow for a single worker's
-	// sweep. Zero or one leaves solves unsharded. Ignored by the
+	// this many contiguous row blocks held by different workers, which
+	// exchange boundary values once per sweep of the cold series, instead
+	// of farming whole s-points out — the right trade when one model is
+	// too large or too slow for a single worker's sweep. Zero or one leaves solves unsharded. Ignored by the
 	// in-process backend and for transient quantities; sharded and
 	// unsharded runs share cache entries and checkpoints (the hint is
 	// excluded from spec fingerprints).

@@ -8,7 +8,7 @@
 //	BenchmarkFig5CDF               Fig. 5 — cumulative passage distribution
 //	BenchmarkFig6FailureMode       Fig. 6 — failure-mode passage density
 //	BenchmarkFig7Transient         Fig. 7 — transient state distribution
-//	BenchmarkIterativeVsDirect     Eq. (10) iteration vs Gauss–Seidel vs dense elimination
+//	BenchmarkIterativeVsDirect     Eq. (10) iteration vs Gauss–Seidel
 //	BenchmarkEulerVsLaguerre       the two inverters on one density curve
 //	BenchmarkInterning             kernel fill from interned LSTs vs per term
 //	BenchmarkCheckpoint            pipeline run with and without a checkpoint
@@ -170,8 +170,8 @@ func midSize(b *testing.B) *hydra.Model {
 }
 
 // BenchmarkIterativeVsDirect times one s-point solved by the
-// Eq. (10) iteration, the Gauss–Seidel form of Eq. (3), and dense
-// elimination — the O(N²r) / O(N³) comparison of §3.
+// Eq. (10) iteration and by the Gauss–Seidel form of Eq. (3) — the
+// comparison of §3.
 func BenchmarkIterativeVsDirect(b *testing.B) {
 	m := midSize(b)
 	p6, p7 := m.PlaceIndex("p6"), m.PlaceIndex("p7")
@@ -197,14 +197,6 @@ func BenchmarkIterativeVsDirect(b *testing.B) {
 				b.Fatal(err)
 			}
 			_ = src.Dot(v)
-			s += 1e-9
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sv.DirectDenseLST(s, src, targets); err != nil {
-				b.Fatal(err)
-			}
 			s += 1e-9
 		}
 	})

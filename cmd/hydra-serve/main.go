@@ -62,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"hydra/internal/passage"
 	"hydra/internal/pipeline"
 	"hydra/internal/server"
 )
@@ -80,7 +79,6 @@ func main() {
 		batch         = flag.Int("batch", 8, "s-points per fleet assignment message")
 		fleetWait     = flag.Duration("fleet-wait", 2*time.Minute, "fail a job after this long with no capable fleet worker (0 waits forever)")
 		shardHint     = flag.Int("shard", 0, "split each fleet solve into up to N row-block shards across workers (0 or 1 = whole-point batches)")
-		shardInner    = flag.Int("shard-inner", 0, "max local sweeps a shard member may run per halo exchange (0 or 1 = lock-step, the gauge still accepts convergence only on lock-step exchanges)")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the HTTP listener")
 		logJSON       = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)
@@ -104,10 +102,6 @@ func main() {
 			BatchSize:   *batch,
 			WaitTimeout: *fleetWait,
 			Logf:        log.New(os.Stderr, "hydra-serve: ", 0).Printf,
-			// The shard conductor's convergence gauge must judge sweeps the
-			// way the workers' solvers do; warm starts mirror the scheduler's
-			// always-on policy (and hydra-worker's -warm default).
-			ShardOptions: passage.Options{WarmStart: true, ShardInnerSweeps: *shardInner},
 		})
 		defer backend.Close()
 		logger.Info("fleet backend accepting workers",

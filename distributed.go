@@ -378,7 +378,7 @@ func (m *Model) RunWorkerWith(addr string, wopts WorkerOptions, opts *Options) e
 		// the kernel, and exchanges only boundary sub-vector entries per
 		// sweep.
 		NewShardPlanned: func(spec *pipeline.SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error) {
-			sv, pl, err := passage.NewPlannedShardSolver(model, solverOpts, parts, part, spec.Targets)
+			sv, pl, err := passage.NewPlannedShardSolver(model, parts, part, spec.Targets)
 			if sv == nil || err != nil {
 				return nil, pl, err // keep the interface nil for surplus parts
 			}

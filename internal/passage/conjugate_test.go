@@ -55,7 +55,7 @@ func TestConjugateSymmetry(t *testing.T) {
 		}
 		check("TransientVectorLST", opts.GSEpsilon, tr, trc)
 
-		sh, _, err := SolveSharded(m, Options{}, 1+r.Intn(3), targets, []complex128{s, conj}, 1)
+		sh, _, err := SolveSharded(m, Options{}, 1+r.Intn(3), targets, []complex128{s, conj})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,15 +6,25 @@ import (
 )
 
 // finite reports whether an increment norm is a number. A NaN or
-// infinite increment means the Eq. (10) sum has overflowed — |h*(s)| > 1
-// somewhere, as happens left of the imaginary axis — and no later sweep
-// can bring it back, so the drivers stop at once instead of running to
-// MaxR.
+// infinite increment means the Eq. (10) sum has overflowed or a
+// transform was not a number, and no later sweep can bring it back, so
+// the drivers stop at once instead of running to MaxR.
 func finite(m float64) bool { return !math.IsNaN(m) && !math.IsInf(m, 0) }
 
 // nonFinite is the error for a non-finite increment after sweep r at s.
 func nonFinite(s complex128, r int) error {
 	return fmt.Errorf("%w: non-finite increment after %d sweeps at s=%v", ErrNoConvergence, r, s)
+}
+
+// checkHalfPlane rejects an s-point outside Re s > 0. Every |A| row sum
+// is below 1 only there, so elsewhere the iterations may diverge or
+// settle on different iterates, and convGauge's tail bound bounds
+// nothing.
+func checkHalfPlane(s complex128) error {
+	if !(real(s) > 0) {
+		return fmt.Errorf("%w: s=%v has Re s ≤ 0", ErrHalfPlane, s)
+	}
+	return nil
 }
 
 // convGauge is the one truncation judge for the Eq. (10) iterations:
@@ -41,25 +51,14 @@ func newConvGauge(eps float64) convGauge {
 	return convGauge{eps: eps, prevM: math.Inf(1)}
 }
 
-// converged reports whether the iteration may stop after an observation
-// whose final-sweep increment max-norm was m, covering k sweeps — one
-// call per observation. The monolithic loops observe every sweep
-// (k = 1); a batched shard exchange covers k inner sweeps, so the ratio
-// between observations is ρᵏ and the k-th root recovers the per-sweep
-// contraction. Since ratio^(1/k) ≥ ratio the bound only grows with k:
-// batching can never stop earlier than lock-step would have, and at
-// k = 1 the arithmetic is the monolithic loop's exactly
-// (math.Pow(x, 1) == x).
-func (g *convGauge) converged(m float64, k int) bool {
+// converged reports whether the iteration may stop after a sweep whose
+// increment max-norm was m — one call per sweep.
+func (g *convGauge) converged(m float64) bool {
 	ok := false
 	if m < g.eps {
 		rho := 0.0
 		if g.prevM > 0 && !math.IsInf(g.prevM, 1) {
-			if ratio := m / g.prevM; ratio < 1 {
-				rho = math.Pow(ratio, 1/float64(k))
-			} else {
-				rho = ratio
-			}
+			rho = m / g.prevM
 		}
 		ok = rho < 1 && m*rho/(1-rho) < g.eps
 	}

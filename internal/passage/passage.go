@@ -30,6 +30,10 @@ import (
 // Gauss–Seidel baseline exhausts its iteration budget.
 var ErrNoConvergence = errors.New("passage: iteration did not converge")
 
+// ErrHalfPlane is returned for an s-point outside Re s > 0, where the
+// Eq. (10) and renewal series need not converge.
+var ErrHalfPlane = errors.New("passage: s-point outside the half-plane Re s > 0")
+
 // Options tunes the solvers.
 type Options struct {
 	// Epsilon is the truncation bound of the Eq. (10) sum (default
@@ -58,28 +62,7 @@ type Options struct {
 	// across runs (or scatter non-adjacent s-points over one solver)
 	// should leave it off.
 	WarmStart bool
-	// ShardInnerSweeps caps how many local sweeps a shard member may
-	// run per halo exchange (multi-sweep batching, block-Jacobi with
-	// stale halos). The conductor adapts the actual count per exchange
-	// from the observed contraction rate and never exceeds this cap.
-	// 0 or 1 means lock-step: one exchange per sweep. Only sharded
-	// solves read it.
-	ShardInnerSweeps int
-	// ShardOverlapRows gates overlapped halo exchange (early-boundary
-	// frames shipped while interior rows sweep) by block size: overlap
-	// is used only when each member holds at least this many rows, since
-	// shipping a separate early frame per round only pays once the
-	// interior sweep is long enough to hide the relay behind. 0 means
-	// the default threshold (DefaultShardOverlapRows); a negative value
-	// disables overlap entirely. Only sharded solves read it.
-	ShardOverlapRows int
 }
-
-// DefaultShardOverlapRows is the block size above which overlapped
-// halo exchange pays for its extra per-round frame: at typical sweep
-// throughput an interior of ~10^5 rows takes long enough (~ms) to hide
-// a relay round trip behind.
-const DefaultShardOverlapRows = 100_000
 
 func (o Options) withDefaults() Options {
 	if o.Epsilon == 0 {
@@ -232,29 +215,6 @@ func (sw SourceWeights) Dot(v []complex128) complex128 {
 	return out
 }
 
-func (sw SourceWeights) validate(n int) error {
-	if len(sw.States) == 0 || len(sw.States) != len(sw.Weights) {
-		return fmt.Errorf("passage: malformed source weights (%d states, %d weights)", len(sw.States), len(sw.Weights))
-	}
-	var sum float64
-	for k, i := range sw.States {
-		if i < 0 || i >= n {
-			return fmt.Errorf("passage: source state %d outside model of %d states", i, n)
-		}
-		if math.IsNaN(sw.Weights[k]) || math.IsInf(sw.Weights[k], 0) {
-			return fmt.Errorf("passage: non-finite source weight %v", sw.Weights[k])
-		}
-		if sw.Weights[k] < 0 {
-			return fmt.Errorf("passage: negative source weight %v", sw.Weights[k])
-		}
-		sum += sw.Weights[k]
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("passage: source weights sum to %v, want 1", sum)
-	}
-	return nil
-}
-
 // DirectVectorLST solves the Eq. (2)/(3) linear system
 //
 //	x_i = Σ_{k∉j⃗} u_ik·x_k + Σ_{k∈j⃗} u_ik
@@ -340,36 +300,6 @@ func (sv *Solver) directVectorSolve(s complex128) ([]complex128, error) {
 		return sv.directVectorSolve(s)
 	}
 	return nil, fmt.Errorf("%w: Gauss–Seidel after %d sweeps at s=%v", ErrNoConvergence, sv.opts.GSMaxIter, s)
-}
-
-// DirectDenseLST solves the passage system by dense Gaussian elimination —
-// O(N³), usable only on small models, kept as the ground-truth oracle for
-// tests.
-func (sv *Solver) DirectDenseLST(s complex128, src SourceWeights, targets []int) (complex128, error) {
-	if err := src.validate(sv.m.N()); err != nil {
-		return 0, err
-	}
-	if err := sv.prepare(s, passageQ, targets); err != nil {
-		return 0, err
-	}
-	n := sv.m.N()
-	a := sparse.NewDense(n)
-	b := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-		sv.u.Row(i, func(k int, v complex128) {
-			if sv.targets[k] {
-				b[i] += v
-			} else {
-				a.Add(i, k, -v)
-			}
-		})
-	}
-	x, err := sparse.SolveDense(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return src.Dot(x), nil
 }
 
 // ComputeSourceWeights derives the Eq. (5) α̃ vector for a source set

@@ -79,49 +79,47 @@ type ShardPlacement struct {
 // the member for block part. When the plan yields fewer blocks than
 // parts (tiny models), surplus parts get a nil solver and a zero
 // placement — the distributed caller releases those members.
-func NewPlannedShardSolver(m *smp.Model, opts Options, parts, part int, targets []int) (*ShardSolver, ShardPlacement, error) {
+func NewPlannedShardSolver(m *smp.Model, parts, part int, targets []int) (*ShardSolver, ShardPlacement, error) {
 	if part < 0 || parts < 1 || part >= parts {
 		return nil, ShardPlacement{}, fmt.Errorf("passage: shard part %d of %d", part, parts)
 	}
 	plan := PlanShardBlocks(m, parts, targets)
-	return plannedSolver(m, opts, plan, part, targets)
+	return plannedSolver(m, plan, part, targets)
 }
 
-func plannedSolver(m *smp.Model, opts Options, plan partition.Plan, part int, targets []int) (*ShardSolver, ShardPlacement, error) {
+func plannedSolver(m *smp.Model, plan partition.Plan, part int, targets []int) (*ShardSolver, ShardPlacement, error) {
 	if part >= len(plan.Ranges) {
 		return nil, ShardPlacement{}, nil
 	}
 	r := plan.Ranges[part]
 	if plan.Order == nil {
-		sv, err := NewShardSolver(m, opts, r.Lo, r.Hi, targets)
+		sv, err := NewShardSolver(m, r.Lo, r.Hi, targets)
 		return sv, ShardPlacement{Lo: r.Lo, Hi: r.Hi}, err
 	}
-	sv, err := NewShardSolverPermuted(m, opts, plan.Order, r.Lo, r.Hi, targets)
+	sv, err := NewShardSolverPermuted(m, plan.Order, r.Lo, r.Hi, targets)
 	return sv, ShardPlacement{Lo: r.Lo, Hi: r.Hi, Perm: plan.Order[r.Lo:r.Hi]}, err
 }
 
 // SolveShardedPlanned is SolveSharded with the boundary-minimizing plan
-// and the given conduct (overlap, inner-sweep batching) — the
-// in-process reference for the fleet's distributed path. Answers come
-// back in original state order regardless of the plan's ordering.
-func SolveShardedPlanned(m *smp.Model, opts Options, parts int, targets []int, points []complex128, segment int, tuning ShardTuning) ([][]complex128, *ShardStats, error) {
+// — the in-process reference for the fleet's distributed path. Answers
+// come back in original state order regardless of the plan's ordering.
+func SolveShardedPlanned(m *smp.Model, opts Options, parts int, targets []int, points []complex128) ([][]complex128, *ShardStats, error) {
 	plan := PlanShardBlocks(m, parts, targets)
 	members := make([]ShardMember, 0, len(plan.Ranges))
 	for part := range plan.Ranges {
-		sv, _, err := plannedSolver(m, opts, plan, part, targets)
+		sv, _, err := plannedSolver(m, plan, part, targets)
 		if err != nil {
 			return nil, nil, err
 		}
 		members = append(members, sv)
 	}
-	ss, err := NewShardSession(m.N(), members, opts, tuning)
+	ss, err := NewShardSession(m.N(), members, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := make([][]complex128, len(points))
 	for idx, s := range points {
-		wantWarm := idx > 0 && !(segment > 0 && idx%segment == 0)
-		v, _, err := ss.SolvePoint(s, wantWarm)
+		v, _, err := ss.SolvePoint(s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("point %d (s=%v): %w", idx, s, err)
 		}

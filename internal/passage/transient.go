@@ -13,11 +13,9 @@ import "fmt"
 // warm-started from the neighbouring s-point like VectorLST, and sets
 // LastSweeps to its depth. The result vector answers any source
 // weighting as a dot product. The series converges only for Re s > 0,
-// so points outside that half-plane are rejected before any solve.
+// so points outside that half-plane are rejected (ErrHalfPlane) before
+// any sweep.
 func (sv *Solver) TransientVectorLST(s complex128, targets []int) ([]complex128, error) {
-	if !(real(s) > 0) {
-		return nil, fmt.Errorf("passage: transient transform at s=%v needs Re s > 0, where the renewal series converges", s)
-	}
 	if err := sv.prepare(s, transientQ, targets); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,8 @@ import (
 // of the cold depth. The returned depth is the series depth or the
 // refinement sweep count, whichever route ran — both measure one kernel
 // traversal per unit. A warm solve that fails to converge falls back to the cold
-// series, so WarmStart never turns a solvable point into an error.
+// series, so WarmStart never turns a solvable point into an error. A
+// point outside Re s > 0 is an ErrHalfPlane.
 func (sv *Solver) VectorLST(s complex128, targets []int) ([]complex128, int, error) {
 	if err := sv.preparePassage(s, targets); err != nil {
 		return nil, 0, err
@@ -101,8 +102,12 @@ func (sv *Solver) closePassage(z []complex128, warm bool) []complex128 {
 // series. It returns z (possibly a solver workspace, valid until the
 // next solve), the depth, and whether the warm route produced it, and
 // records the depth, the sweeps-saved accounting and, with WarmStart
-// on, z as the next point's seed.
+// on, z as the next point's seed. A point outside Re s > 0 is rejected
+// before either route runs, and leaves the seed as it was.
 func (sv *Solver) fixedPoint(s complex128) ([]complex128, int, bool, error) {
+	if err := checkHalfPlane(s); err != nil {
+		return nil, 0, false, err
+	}
 	p := sv.cur
 	if sv.opts.WarmStart && p.zWarm && len(p.dirZ) == sv.m.N() {
 		if r, err := sv.refine(s, p.dirZ); err == nil {
@@ -140,7 +145,7 @@ func (sv *Solver) series(s complex128) ([]complex128, int, error) {
 		if !finite(m) {
 			return nil, r, nonFinite(s, r)
 		}
-		if gauge.converged(m, 1) {
+		if gauge.converged(m) {
 			return z, r, nil
 		}
 	}
@@ -164,7 +169,7 @@ func (sv *Solver) refine(s complex128, z []complex128) (int, error) {
 		if !finite(m) {
 			return r, nonFinite(s, r)
 		}
-		if gauge.converged(m, 1) {
+		if gauge.converged(m) {
 			return r, nil
 		}
 	}

@@ -155,11 +155,13 @@ func TestWarmCloseMatchesFullProduct(t *testing.T) {
 }
 
 // FuzzWarmRefine walks a vertical contour over a random semi-Markov
-// model with a WarmStart solver and a cold one side by side. Every point
-// either succeeds on both routes, with answers within the 1e-6 that
-// TestWarmStartMatchesColdWithinTolerance holds, or fails on both with
-// ErrNoConvergence: the Gauss–Seidel refinement must neither drift from
-// the series' fixed point nor turn a solvable point into an error.
+// model with a WarmStart solver and a cold one side by side, anywhere in
+// Re s ∈ (−4, 4). A point with Re s ≤ 0 must fail on both routes with
+// ErrHalfPlane. Every other point either succeeds on both routes, with
+// answers within the 1e-6 that TestWarmStartMatchesColdWithinTolerance
+// holds, or fails on both with ErrNoConvergence: the Gauss–Seidel
+// refinement must neither drift from the series' fixed point nor turn a
+// solvable point into an error.
 func FuzzWarmRefine(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(0), 0.8, 0.35)
 	f.Add(int64(77), uint8(12), uint8(2), 0.05, 1.5)
@@ -173,10 +175,9 @@ func FuzzWarmRefine(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		m := randomSMP(r, n)
 		targets := r.Perm(n)[:1+int(nTargets)%min(3, n)]
-		// Re s in [0.001, 4.001), the half-plane where both iterations
-		// converge and every inverter's points lie; Im s steps in
-		// [0.01, 2.01).
-		re = 0.001 + math.Mod(math.Abs(re), 4)
+		// Re s in (−4, 4), both sides of the imaginary axis; Im s steps
+		// in [0.01, 2.01).
+		re = math.Mod(re, 4)
 		step = 0.01 + math.Mod(math.Abs(step), 2)
 		cold := NewSolver(m, Options{})
 		warm := NewSolver(m, Options{WarmStart: true})
@@ -185,6 +186,10 @@ func FuzzWarmRefine(f *testing.F) {
 			want, _, errCold := cold.VectorLST(s, targets)
 			got, _, errWarm := warm.VectorLST(s, targets)
 			switch {
+			case !(real(s) > 0):
+				if !errors.Is(errCold, ErrHalfPlane) || !errors.Is(errWarm, ErrHalfPlane) {
+					t.Fatalf("s=%v: cold error %v, warm error %v; want ErrHalfPlane from both", s, errCold, errWarm)
+				}
 			case errCold != nil || errWarm != nil:
 				if !errors.Is(errCold, ErrNoConvergence) || !errors.Is(errWarm, ErrNoConvergence) {
 					t.Fatalf("s=%v: cold error %v, warm error %v; want both ErrNoConvergence or neither", s, errCold, errWarm)

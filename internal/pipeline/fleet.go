@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hydra/internal/obs"
-	"hydra/internal/passage"
 )
 
 // The fleet wire protocol. A worker opens with a bare-gob hello and the
@@ -36,7 +35,7 @@ import (
 // exactly its own; any change to the message set bumps it, so a
 // mismatched pair of binaries meets a readable reject instead of a
 // decode error.
-const ProtocolVersion = 5
+const ProtocolVersion = 6
 
 // helloMsg opens a fleet connection (worker → master). The handshake
 // field names Version, WorkerName and Reject are frozen across protocol
@@ -154,12 +153,6 @@ type FleetOptions struct {
 	// Logf receives diagnostics (rejected handshakes, requeues). Nil
 	// discards them.
 	Logf func(format string, args ...any)
-	// ShardOptions is the solver configuration for sharded runs: it
-	// drives the conductor's convergence gauge and warm-start
-	// policy, and must match the options the workers build their shard
-	// members with. The zero value uses the solver defaults with warm
-	// starts off.
-	ShardOptions passage.Options
 }
 
 func (o FleetOptions) withDefaults() FleetOptions {

@@ -45,22 +45,21 @@ func shardContour(k int) []complex128 {
 
 // shardWorkerModel wires a worker model that can both evaluate whole
 // points and host shard blocks, exactly as RunWorkerWith does in
-// production: the shard constructor builds a block-local solver with
-// the same options as the fleet's conductor.
+// production.
 func shardWorkerModel(m *smp.Model, fp string, opts passage.Options) WorkerModel {
 	return WorkerModel{
 		Fingerprint:     fp,
 		States:          m.N(),
 		Evaluator:       NewSolverEvaluator(m, opts),
-		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember { return sv }),
+		NewShardPlanned: plannedShard(m, func(sv *passage.ShardSolver) passage.ShardMember { return sv }),
 	}
 }
 
 // plannedShard is the production shard constructor (what RunWorkerWith
 // wires) with a hook to wrap the block-local solver in a fault injector.
-func plannedShard(m *smp.Model, opts passage.Options, wrap func(*passage.ShardSolver) passage.ShardMember) func(*SolveSpec, int, int) (passage.ShardMember, passage.ShardPlacement, error) {
+func plannedShard(m *smp.Model, wrap func(*passage.ShardSolver) passage.ShardMember) func(*SolveSpec, int, int) (passage.ShardMember, passage.ShardPlacement, error) {
 	return func(spec *SolveSpec, parts, part int) (passage.ShardMember, passage.ShardPlacement, error) {
-		sv, pl, err := passage.NewPlannedShardSolver(m, opts, parts, part, spec.Targets)
+		sv, pl, err := passage.NewPlannedShardSolver(m, parts, part, spec.Targets)
 		if sv == nil || err != nil {
 			return nil, pl, err // keep the interface nil for surplus parts
 		}
@@ -82,33 +81,35 @@ func shardSpec(m *smp.Model, fp string, points []complex128, hint int) *SolveSpe
 }
 
 // TestFleetShardEquivalence is the end-to-end differential property
-// over the real wire: one warm-started solve sharded across three worker
-// processes (in-process TCP) must reproduce the in-process sharded solve
-// of the same plan to within far under solver tolerance — the wire
+// over the real wire: one solve sharded across three worker processes
+// (in-process TCP) must reproduce both the in-process sharded solve of
+// the same plan and the monolithic cold series bitwise — the wire
 // carries the identical arithmetic in the identical order, just
-// distributed. (The monolithic warm route refines by Gauss–Seidel and
-// matches the sharded Jacobi sweep only to solver tolerance; the passage
-// package tests that.)
+// distributed — and take exactly the monolithic number of sweeps.
 func TestFleetShardEquivalence(t *testing.T) {
 	m := shardTestModel(t)
 	const fp = "fp-shard-eq"
-	// ShardOverlapRows 1 forces overlapped (early-frame) exchange despite
-	// the tiny test model, so the two-frame wire path is covered with
-	// inner == 1 too.
-	opts := passage.Options{WarmStart: true, ShardOverlapRows: 1}
 	points := shardContour(6)
 	spec := shardSpec(m, fp, points, 3)
 
-	want, _, err := passage.SolveShardedPlanned(m, opts, 3, spec.Targets, points, spec.SegmentHint,
-		passage.ShardTuning{Overlap: true})
+	planned, _, err := passage.SolveShardedPlanned(m, passage.Options{}, 3, spec.Targets, points)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mono := passage.NewSolver(m, passage.Options{})
+	want := make([][]complex128, len(points))
+	var monoSweeps int64
+	for i, s := range points {
+		if want[i], _, err = mono.VectorLST(s, spec.Targets); err != nil {
+			t.Fatal(err)
+		}
+		monoSweeps += int64(mono.LastSweeps())
+	}
 
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
+	fleet := testFleet(t, FleetOptions{Logf: t.Logf})
 	addr := fleet.Addr().String()
 	for _, name := range []string{"s1", "s2", "s3"} {
-		go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: name})
+		go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, passage.Options{})}, WorkerOptions{Name: name})
 	}
 	waitForWorkers(t, fleet, 3)
 
@@ -121,8 +122,11 @@ func TestFleetShardEquivalence(t *testing.T) {
 			t.Fatalf("point %d: vector of %d values, want %d", i, len(values[i]), m.N())
 		}
 		for j := 0; j < m.N(); j++ {
-			if d := cmplx.Abs(values[i][j] - want[i][j]); d > 1e-12 {
-				t.Errorf("point %d state %d: fleet %v vs in-process sharded %v (diff %g)", i, j, values[i][j], want[i][j], d)
+			if values[i][j] != planned[i][j] {
+				t.Errorf("point %d state %d: fleet %v vs in-process sharded %v", i, j, values[i][j], planned[i][j])
+			}
+			if values[i][j] != want[i][j] {
+				t.Errorf("point %d state %d: fleet %v vs monolithic cold %v", i, j, values[i][j], want[i][j])
 			}
 		}
 	}
@@ -135,12 +139,12 @@ func TestFleetShardEquivalence(t *testing.T) {
 	if stats.Evaluated != len(points) {
 		t.Errorf("stats.Evaluated = %d, want %d", stats.Evaluated, len(points))
 	}
-	if stats.ShardSweeps == 0 || stats.ShardExchanged == 0 {
-		t.Errorf("sharded run recorded no distributed work: sweeps %d, exchanged %d",
-			stats.ShardSweeps, stats.ShardExchanged)
+	if stats.ShardSweeps != monoSweeps {
+		t.Errorf("stats.ShardSweeps = %d, want the monolithic series' %d", stats.ShardSweeps, monoSweeps)
 	}
-	if stats.WarmStarted == 0 {
-		t.Error("contiguous sharded contour walk never warm-started")
+	if stats.ShardExchanged == 0 || stats.ShardBoundary == 0 {
+		t.Errorf("sharded run recorded no exchange: exchanged %d, boundary %d",
+			stats.ShardExchanged, stats.ShardBoundary)
 	}
 	if stats.Resharded != 0 {
 		t.Errorf("healthy run resharded %d times", stats.Resharded)
@@ -158,20 +162,20 @@ type killingShard struct {
 	sweeps int
 }
 
-func (k *killingShard) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
+func (k *killingShard) Sweep(halo []complex128) ([]complex128, float64, error) {
 	k.sweeps++
 	if k.sweeps == k.after {
 		k.conn.Close()
 	}
-	return k.ShardMember.SweepN(halo, inner, early)
+	return k.ShardMember.Sweep(halo)
 }
 
 // TestFleetShardFaultReshard kills a shard-holding worker between
 // sweeps and requires the conductor to re-shard across the survivors
 // and still converge to the monolithic answer — no hang, no silent
-// wrong result. Warm starts are off so every solve is cold and the
-// surviving partition provably reproduces the reference bit-for-bit
-// regardless of where the kill landed.
+// wrong result. Every sharded solve is the cold series, so the
+// surviving partition reproduces the reference bit-for-bit regardless
+// of where the kill landed.
 func TestFleetShardFaultReshard(t *testing.T) {
 	m := shardTestModel(t)
 	const fp = "fp-shard-kill"
@@ -189,7 +193,7 @@ func TestFleetShardFaultReshard(t *testing.T) {
 		want[i] = v
 	}
 
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
+	fleet := testFleet(t, FleetOptions{Logf: t.Logf})
 	addr := fleet.Addr().String()
 	for _, name := range []string{"live1", "live2"} {
 		go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: name})
@@ -204,7 +208,7 @@ func TestFleetShardFaultReshard(t *testing.T) {
 		Fingerprint: fp,
 		States:      m.N(),
 		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember {
+		NewShardPlanned: plannedShard(m, func(sv *passage.ShardSolver) passage.ShardMember {
 			return &killingShard{ShardMember: sv, conn: conn, after: 3}
 		}),
 	}
@@ -254,7 +258,7 @@ func TestFleetShardDeadConnAtRecruitRetries(t *testing.T) {
 		want[i] = v
 	}
 
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
+	fleet := testFleet(t, FleetOptions{Logf: t.Logf})
 	addr := fleet.Addr().String()
 	go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: "survivor"})
 	conn, err := net.Dial("tcp", addr)
@@ -294,7 +298,7 @@ type failingShard struct {
 	passage.ShardMember
 }
 
-func (f *failingShard) BeginPoint(s complex128, warm bool) ([]complex128, error) {
+func (f *failingShard) BeginPoint(s complex128) ([]complex128, error) {
 	return nil, errors.New("synthetic shard evaluation failure")
 }
 
@@ -308,13 +312,13 @@ func TestFleetShardEvalErrorStructured(t *testing.T) {
 	opts := passage.Options{}
 	spec := shardSpec(m, fp, shardContour(2), 2)
 
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
+	fleet := testFleet(t, FleetOptions{Logf: t.Logf})
 	addr := fleet.Addr().String()
 	broken := WorkerModel{
 		Fingerprint: fp,
 		States:      m.N(),
 		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember {
+		NewShardPlanned: plannedShard(m, func(sv *passage.ShardSolver) passage.ShardMember {
 			return &failingShard{ShardMember: sv}
 		}),
 	}
@@ -391,126 +395,6 @@ func TestFleetShardNoCapableWorker(t *testing.T) {
 	}
 }
 
-// TestFleetShardBatchedEquivalence is the batched end-to-end differential
-// property: three workers under multi-sweep batching (each halo
-// exchange authorizes up to 8 local sweeps) plus overlapped exchange
-// must still reproduce the monolithic solver within 1e-12. The
-// convergence gate only accepts lock-step exchanges, so stale-halo
-// batching can never smuggle in an under-converged answer.
-func TestFleetShardBatchedEquivalence(t *testing.T) {
-	m := shardTestModel(t)
-	const fp = "fp-shard-batched"
-	// Epsilon well under the 1e-12 differential gate: batched points run
-	// the fixed-point iteration, which agrees with the monolithic series
-	// only to within the convergence tolerance, not bitwise.
-	opts := passage.Options{WarmStart: true, ShardInnerSweeps: 8, Epsilon: 1e-13, ShardOverlapRows: 1}
-	points := shardContour(6)
-	spec := shardSpec(m, fp, points, 3)
-
-	mono := passage.NewSolver(m, passage.Options{WarmStart: true, Epsilon: 1e-13})
-	want := make([][]complex128, len(points))
-	for i, s := range points {
-		v, _, err := mono.VectorLST(s, spec.Targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = v
-	}
-
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
-	addr := fleet.Addr().String()
-	for _, name := range []string{"b1", "b2", "b3"} {
-		go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: name})
-	}
-	waitForWorkers(t, fleet, 3)
-
-	values, stats, err := fleet.Execute(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		for j := 0; j < m.N(); j++ {
-			if d := cmplx.Abs(values[i][j] - want[i][j]); d > 1e-12 {
-				t.Errorf("point %d state %d: batched %v vs mono %v (diff %g)", i, j, values[i][j], want[i][j], d)
-			}
-		}
-	}
-	if stats.Shards != 3 {
-		t.Errorf("stats.Shards = %d, want 3", stats.Shards)
-	}
-	if stats.Resharded != 0 {
-		t.Errorf("healthy batched run resharded %d times", stats.Resharded)
-	}
-	if stats.ShardBoundary == 0 {
-		t.Error("sharded run reported no boundary vertices — the exchange-tax telemetry is dark")
-	}
-	if stats.ShardExchanged == 0 || stats.ShardSweeps == 0 {
-		t.Errorf("batched run recorded no distributed work: sweeps %d, exchanged %d",
-			stats.ShardSweeps, stats.ShardExchanged)
-	}
-}
-
-// TestFleetShardBatchedFaultReshard kills a worker in the middle
-// of a multi-sweep batch with overlapped exchange active. The conductor
-// must detect the loss (a torn early frame or a dead closing frame),
-// re-shard over the survivors, restart the in-flight point cold, and
-// still converge to the monolithic answer.
-func TestFleetShardBatchedFaultReshard(t *testing.T) {
-	m := shardTestModel(t)
-	const fp = "fp-shard-batchkill"
-	opts := passage.Options{ShardInnerSweeps: 8, Epsilon: 1e-13, ShardOverlapRows: 1}
-	points := shardContour(4)
-	spec := shardSpec(m, fp, points, 3)
-
-	mono := passage.NewSolver(m, passage.Options{Epsilon: 1e-13})
-	want := make([][]complex128, len(points))
-	for i, s := range points {
-		v, _, err := mono.VectorLST(s, spec.Targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = v
-	}
-
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
-	addr := fleet.Addr().String()
-	for _, name := range []string{"bk1", "bk2"} {
-		go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: name})
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doomed := WorkerModel{
-		Fingerprint: fp,
-		States:      m.N(),
-		Evaluator:   NewSolverEvaluator(m, opts),
-		NewShardPlanned: plannedShard(m, opts, func(sv *passage.ShardSolver) passage.ShardMember {
-			return &killingShard{ShardMember: sv, conn: conn, after: 2}
-		}),
-	}
-	go FleetWorkConn(conn, []WorkerModel{doomed}, WorkerOptions{Name: "doomed-batch"})
-	waitForWorkers(t, fleet, 3)
-
-	values, stats, err := fleet.Execute(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		for j := 0; j < m.N(); j++ {
-			if d := cmplx.Abs(values[i][j] - want[i][j]); d > 1e-12 {
-				t.Errorf("point %d state %d: resharded %v vs mono %v (diff %g)", i, j, values[i][j], want[i][j], d)
-			}
-		}
-	}
-	if stats.Resharded < 1 {
-		t.Errorf("stats.Resharded = %d, want >= 1 (the doomed worker dies mid-batched-sweep)", stats.Resharded)
-	}
-	if stats.Evaluated != len(points) {
-		t.Errorf("stats.Evaluated = %d, want %d", stats.Evaluated, len(points))
-	}
-}
-
 // TestFleetShardSurplusMembersReleased recruits more workers than the
 // model has useful blocks for (ShardHint beyond what ShardBlocks will
 // split a tiny model into) and checks the solve still completes with
@@ -528,7 +412,7 @@ func TestFleetShardSurplusMembersReleased(t *testing.T) {
 		ModelStates: m.N(),
 		ShardHint:   4,
 	}
-	fleet := testFleet(t, FleetOptions{Logf: t.Logf, ShardOptions: opts})
+	fleet := testFleet(t, FleetOptions{Logf: t.Logf})
 	addr := fleet.Addr().String()
 	for _, name := range []string{"t1", "t2", "t3", "t4"} {
 		go FleetWork(addr, []WorkerModel{shardWorkerModel(m, fp, opts)}, WorkerOptions{Name: name})
@@ -553,28 +437,5 @@ func TestFleetShardSurplusMembersReleased(t *testing.T) {
 	}
 	if stats.Shards < 1 || stats.Shards > m.N() {
 		t.Errorf("stats.Shards = %d for a %d-state model", stats.Shards, m.N())
-	}
-}
-
-// TestShardOverlapGate pins the adaptive overlap decision: early-frame
-// exchange doubles the per-round message count, so it only engages on
-// blocks big enough to hide the relay behind interior compute, with 0
-// meaning the default threshold and negative values disabling it.
-func TestShardOverlapGate(t *testing.T) {
-	cases := []struct {
-		minRows, rowsPer int
-		want             bool
-	}{
-		{0, passage.DefaultShardOverlapRows - 1, false},
-		{0, passage.DefaultShardOverlapRows, true},
-		{1, 1, true},
-		{500, 499, false},
-		{500, 500, true},
-		{-1, 1 << 30, false},
-	}
-	for _, c := range cases {
-		if got := shardOverlap(c.minRows, c.rowsPer); got != c.want {
-			t.Errorf("shardOverlap(%d, %d) = %v, want %v", c.minRows, c.rowsPer, got, c.want)
-		}
 	}
 }

@@ -321,7 +321,7 @@ func TestFleetWorkerRejectsOtherMasterVersion(t *testing.T) {
 	m := testModel(t)
 	for _, welcome := range []welcomeMsg{
 		{Version: ProtocolVersion - 1},
-		{Version: ProtocolVersion + 1, Reject: "master speaks wire protocol v6 but worker \"w\" announced v5"},
+		{Version: ProtocolVersion + 1, Reject: "master speaks wire protocol v7 but worker \"w\" announced v6"},
 	} {
 		master, worker := net.Pipe()
 		go func() {

@@ -55,43 +55,30 @@ type shardPlanMsg struct {
 }
 
 // shardPointMsg opens one s-point of a sharded run (master →
-// worker). Warm asks the member to seed from its block-local warm
-// history; Batch opens the point for the fixed-point iteration
-// (BeginPointFP), which multi-sweep batching requires; Index correlates
-// the eventual block result. The worker answers with a Seq-0 delta
-// carrying the seed's boundary values.
+// worker); Index correlates the eventual block result. The worker
+// answers with a Seq-0 delta carrying the seed's boundary values.
 type shardPointMsg struct {
 	RunID int64
 	Index int
 	S     complex128
-	Warm  bool
-	Batch bool
 }
 
-// shardSweepMsg drives one exchange (master → worker): the halo
-// values gathered from the other blocks, in the member's HaloCols
-// order. Finish closes the converged point instead — the worker
-// answers with its block of the result vector rather than a delta.
-// Inner is how many local sweeps to run against this one halo (1 is
-// lock-step); Early ships the final sweep's boundary rows before
-// interior rows are computed: the worker answers with exactly two
-// deltas, the early boundary frame then the closing norm frame.
+// shardSweepMsg drives one sweep (master → worker): the halo values
+// gathered from the other blocks, in the member's HaloCols order.
+// Finish closes the converged point instead — the worker answers with
+// its block of the result vector rather than a delta.
 type shardSweepMsg struct {
 	RunID  int64
 	Seq    int
 	Halo   []complex128
 	Finish bool
-	Inner  int
-	Early  bool
 }
 
 // shardDeltaMsg answers a point open (Seq 0) or a sweep (worker →
 // master): the block's new boundary values and its contribution to the
 // global increment max-norm — the per-sweep convergence reduction.
 // ComputeNS attributes the block's pure compute time so the master's
-// critical-path accounting excludes wire latency. An Early delta carries
-// only the boundary values of an overlapped sweep; its closing companion
-// carries the norm and compute time with no boundary.
+// critical-path accounting excludes wire latency.
 type shardDeltaMsg struct {
 	RunID     int64
 	Seq       int
@@ -99,7 +86,6 @@ type shardDeltaMsg struct {
 	Norm      float64
 	ComputeNS int64
 	Err       string
-	Early     bool
 }
 
 // shardBlockMsg answers a finishing sweep (worker → master): the
@@ -135,16 +121,13 @@ const maxShardAttempts = 3
 // members once the first has volunteered.
 const shardRecruitWindow = 500 * time.Millisecond
 
-// shardRequest is one conductor→member exchange relayed by serveMember.
+// shardRequest is one conductor→member message relayed by serveMember.
 // A nil reply channel marks fire-and-forget messages (plan, end);
-// replies is how many worker messages answer this one (1 for ordinary
-// round-trips, 2 for an overlapped sweep: the early boundary frame then
-// the closing norm frame). The reply channel is buffered to replies so
-// the relay never blocks on a conductor that bailed early.
+// otherwise exactly one worker message answers it. The reply channel is
+// buffered so the relay never blocks on a conductor that bailed early.
 type shardRequest struct {
-	msg     any
-	replies int
-	reply   chan shardReply
+	msg   any
+	reply chan shardReply
 }
 
 type shardReply struct {
@@ -181,41 +164,26 @@ func (smc *shardMemberConn) post(msg any) error {
 	}
 }
 
-// exchange sends a message expecting the given number of reply
-// messages and returns the pending request for awaitReply calls.
-func (smc *shardMemberConn) exchange(msg any, replies int) (*shardRequest, error) {
-	r := &shardRequest{msg: msg, replies: replies, reply: make(chan shardReply, replies)}
+// roundTrip sends a message and waits for the worker's reply.
+func (smc *shardMemberConn) roundTrip(msg any) (any, error) {
+	reply := make(chan shardReply, 1)
 	select {
-	case smc.req <- *r:
-		return r, nil
+	case smc.req <- shardRequest{msg: msg, reply: reply}:
 	case <-smc.done:
 		return nil, fmt.Errorf("%w: worker %q", errShardMemberLost, smc.c.name)
 	}
-}
-
-// awaitReply collects the next reply of a pending exchange.
-func (smc *shardMemberConn) awaitReply(r *shardRequest) (any, error) {
 	select {
-	case rep := <-r.reply:
+	case rep := <-reply:
 		return rep.msg, rep.err
 	case <-smc.done:
 		// The reply may have been delivered just before done closed.
 		select {
-		case rep := <-r.reply:
+		case rep := <-reply:
 			return rep.msg, rep.err
 		default:
 		}
 		return nil, fmt.Errorf("%w: worker %q", errShardMemberLost, smc.c.name)
 	}
-}
-
-// roundTrip sends a message and waits for the worker's single reply.
-func (smc *shardMemberConn) roundTrip(msg any) (any, error) {
-	r, err := smc.exchange(msg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return smc.awaitReply(r)
 }
 
 // serveMember relays one shard membership's traffic over this worker
@@ -240,27 +208,25 @@ func (f *Fleet) serveMember(c *fleetConn, kod *fleetCodec, smc *shardMemberConn)
 		if req.reply == nil {
 			continue
 		}
-		// The reply channel's buffer covers req.replies, so a conductor
-		// that stopped reading after an error can never block the relay.
-		for i := 0; i < req.replies; i++ {
-			c.conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
-			msg, err := kod.recv()
-			if err != nil {
-				err = fmt.Errorf("%w: worker %q: %v", errShardMemberLost, c.name, err)
-				req.reply <- shardReply{err: err}
-				return err
-			}
-			req.reply <- shardReply{msg: msg}
+		// The reply channel is buffered, so a conductor that stopped
+		// reading after an error can never block the relay.
+		c.conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
+		msg, err := kod.recv()
+		if err != nil {
+			err = fmt.Errorf("%w: worker %q: %v", errShardMemberLost, c.name, err)
+			req.reply <- shardReply{err: err}
+			return err
 		}
+		req.reply <- shardReply{msg: msg}
 	}
 	return nil
 }
 
 // remoteShardMember adapts one recruited worker connection to the
 // passage.ShardMember contract, so the fleet conductor reuses
-// passage.ShardSession verbatim — the same lock-step loop, convergence
-// gauge and warm-seed bookkeeping the differential harness proves
-// against the monolithic solver.
+// passage.ShardSession verbatim — the same lock-step loop and
+// convergence gauge the differential harness proves against the
+// monolithic solver.
 type remoteShardMember struct {
 	smc    *shardMemberConn
 	runID  int64
@@ -287,77 +253,35 @@ func (m *remoteShardMember) SetBoundary(rows []int) error {
 	return m.smc.post(shardPlanMsg{RunID: m.runID, Boundary: rows})
 }
 
-func (m *remoteShardMember) BeginPoint(s complex128, warm bool) ([]complex128, error) {
-	return m.beginPoint(s, warm, false)
-}
-
-func (m *remoteShardMember) BeginPointFP(s complex128, warm bool) ([]complex128, error) {
-	return m.beginPoint(s, warm, true)
-}
-
-func (m *remoteShardMember) beginPoint(s complex128, warm, batch bool) ([]complex128, error) {
+func (m *remoteShardMember) BeginPoint(s complex128) ([]complex128, error) {
 	m.seq = 0
-	rep, err := m.smc.roundTrip(shardPointMsg{RunID: m.runID, Index: m.curIdx, S: s, Warm: warm, Batch: batch})
-	if err != nil {
-		return nil, err
-	}
-	d, err := m.delta(rep, false, "point open")
-	if err != nil {
-		return nil, err
-	}
-	return d.Boundary, nil
+	d, err := m.delta(shardPointMsg{RunID: m.runID, Index: m.curIdx, S: s}, "point open")
+	return d.Boundary, err
 }
 
-// delta validates one sweep-protocol reply: a delta for this run at the
-// current sequence number, early or closing as expected. An Err field is
-// the worker's evaluation failure, not a lost member.
-func (m *remoteShardMember) delta(rep any, early bool, what string) (shardDeltaMsg, error) {
+func (m *remoteShardMember) Sweep(halo []complex128) ([]complex128, float64, error) {
+	m.seq++
+	d, err := m.delta(shardSweepMsg{RunID: m.runID, Seq: m.seq, Halo: halo}, "sweep")
+	return d.Boundary, d.Norm, err
+}
+
+// delta sends msg and validates the reply: a delta for this run at the
+// current sequence number. An Err field is the worker's evaluation
+// failure, not a lost member.
+func (m *remoteShardMember) delta(msg any, what string) (shardDeltaMsg, error) {
+	rep, err := m.smc.roundTrip(msg)
+	if err != nil {
+		return shardDeltaMsg{}, err
+	}
 	d, ok := rep.(shardDeltaMsg)
-	if !ok || d.RunID != m.runID || d.Seq != m.seq || d.Early != early {
-		return d, m.desync(fmt.Sprintf("%T answering %s %d", rep, what, m.seq))
+	if !ok || d.RunID != m.runID || d.Seq != m.seq {
+		return shardDeltaMsg{}, m.desync(fmt.Sprintf("%T answering %s %d", rep, what, m.seq))
 	}
 	if d.Err != "" {
-		return d, fmt.Errorf("worker %q: %s", m.name, d.Err)
+		return shardDeltaMsg{}, fmt.Errorf("worker %q: %s", m.name, d.Err)
 	}
-	if !early {
-		m.lastNS = d.ComputeNS
-	}
+	m.lastNS = d.ComputeNS
 	return d, nil
-}
-
-func (m *remoteShardMember) SweepN(halo []complex128, inner int, early func([]complex128)) ([]complex128, float64, error) {
-	m.seq++
-	msg := shardSweepMsg{RunID: m.runID, Seq: m.seq, Halo: halo, Inner: inner, Early: early != nil}
-	if early == nil {
-		rep, err := m.smc.roundTrip(msg)
-		if err != nil {
-			return nil, 0, err
-		}
-		d, err := m.delta(rep, false, "sweep")
-		return d.Boundary, d.Norm, err
-	}
-	// Overlapped: the worker answers with exactly two deltas — the early
-	// boundary frame, relayed into the session's ledger via the callback
-	// while other members still compute, then the closing norm frame.
-	req, err := m.smc.exchange(msg, 2)
-	if err != nil {
-		return nil, 0, err
-	}
-	rep, err := m.smc.awaitReply(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, err := m.delta(rep, true, "overlapped sweep")
-	if err != nil {
-		return nil, 0, err
-	}
-	early(d.Boundary)
-	rep, err = m.smc.awaitReply(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	fin, err := m.delta(rep, false, "overlapped sweep close")
-	return nil, fin.Norm, err
 }
 
 func (m *remoteShardMember) Finish(halo []complex128) ([]complex128, error) {
@@ -395,11 +319,11 @@ type fleetShardSession struct {
 
 // solvePoint solves one s-point across the shards, tagging every
 // member with the point index first so block results correlate.
-func (s *fleetShardSession) solvePoint(idx int, sp complex128, wantWarm bool) ([]complex128, int, error) {
+func (s *fleetShardSession) solvePoint(idx int, sp complex128) ([]complex128, int, error) {
 	for _, m := range s.members {
 		m.curIdx = idx
 	}
-	v, sweeps, err := s.ss.SolvePoint(sp, wantWarm)
+	v, sweeps, err := s.ss.SolvePoint(sp)
 	if err == nil && s.perm != nil {
 		mapped := make([]complex128, len(v))
 		for pos, orig := range s.perm {
@@ -614,11 +538,9 @@ collect:
 		ifaces[w] = members[w]
 		keep[w] = p.smc
 	}
-	tuning := passage.ShardTuning{
-		Overlap:     shardOverlap(f.opts.ShardOptions.ShardOverlapRows, n/len(placements)),
-		InnerSweeps: f.opts.ShardOptions.ShardInnerSweeps,
-	}
-	ss, err := passage.NewShardSession(n, ifaces, f.opts.ShardOptions, tuning)
+	// The conductor judges convergence with the solver defaults, as the
+	// in-process and batch routes do.
+	ss, err := passage.NewShardSession(n, ifaces, passage.Options{})
 	if err != nil {
 		return fail(err)
 	}
@@ -626,26 +548,13 @@ collect:
 	return &fleetShardSession{runID: runID, ss: ss, members: members, smcs: keep, perm: perm}, nil
 }
 
-// shardOverlap decides whether a session uses overlapped halo
-// exchange: the early frame doubles the per-round message count, so it
-// only pays when each member's interior sweep is long enough to hide
-// the relay behind (see passage.DefaultShardOverlapRows). minRows 0
-// takes the default threshold; negative disables overlap.
-func shardOverlap(minRows, rowsPerMember int) bool {
-	if minRows == 0 {
-		minRows = passage.DefaultShardOverlapRows
-	}
-	return minRows > 0 && rowsPerMember >= minRows
-}
-
 // executeSharded is Execute's sharded path: instead of farming whole
 // s-points to workers, each s-point is solved once across a recruited
 // set of workers, each holding one row block of the kernel. Points run
-// sequentially in index order so the distributed warm-start history
-// tracks the contour exactly as a single resident worker's would. A
-// member lost mid-session triggers a re-shard over the surviving
-// workers (the in-flight point restarts cold); an evaluation error is
-// a *PointError, exactly as on the batch path.
+// sequentially in index order, each by the cold series. A member lost
+// mid-session triggers a re-shard over the surviving workers (the
+// in-flight point restarts); an evaluation error is a *PointError,
+// exactly as on the batch path.
 func (f *Fleet) executeSharded(spec *SolveSpec, cache Cache) ([][]complex128, *RunStats, error) {
 	start := time.Now()
 	values := make([][]complex128, len(spec.Points))
@@ -681,13 +590,9 @@ func (f *Fleet) executeSharded(spec *SolveSpec, cache Cache) ([][]complex128, *R
 		Targets:     spec.Targets,
 		TraceID:     spec.TraceID,
 	}
-	strategy := "planned"
-	if f.opts.ShardOptions.ShardInnerSweeps > 1 {
-		strategy = "planned+batched"
-	}
 	span := obs.DefaultTracer.StartSpan(spec.TraceID, "fleet.shard").
 		SetAttr("spec", spec.Name).SetAttr("points", strconv.Itoa(len(pending))).
-		SetAttr("shard_hint", strconv.Itoa(spec.ShardHint)).SetAttr("strategy", strategy)
+		SetAttr("shard_hint", strconv.Itoa(spec.ShardHint)).SetAttr("strategy", "planned")
 	defer span.End()
 
 	var sess *fleetShardSession
@@ -705,7 +610,6 @@ func (f *Fleet) executeSharded(spec *SolveSpec, cache Cache) ([][]complex128, *R
 	}()
 	perWorker := make(map[string]int)
 	attempts := 0
-	lastIdx := -2
 	var firstErr error
 solve:
 	for _, idx := range pending {
@@ -731,10 +635,7 @@ solve:
 				}
 				sess = s2
 			}
-			// Warm only continues a contiguous contour walk, and never
-			// across a segment boundary (the s-value jumps there).
-			wantWarm := idx == lastIdx+1 && !(spec.SegmentHint > 0 && idx%spec.SegmentHint == 0)
-			vec, sweeps, err := sess.solvePoint(idx, spec.Points[idx], wantWarm)
+			vec, sweeps, err := sess.solvePoint(idx, spec.Points[idx])
 			if err == nil {
 				attempts = 0
 				if spec.Quantity == PassageCDF {
@@ -746,9 +647,6 @@ solve:
 				have[idx] = true
 				stats.Evaluated++
 				stats.TotalDepth += int64(sweeps)
-				if sess.ss.LastWarm() {
-					stats.WarmStarted++
-				}
 				for _, m := range sess.members {
 					perWorker[m.name]++
 				}
@@ -774,7 +672,6 @@ solve:
 			firstErr = &PointError{Worker: "shard", Index: idx, Msg: err.Error()}
 			break solve
 		}
-		lastIdx = idx
 	}
 	if cache != nil {
 		if err := cache.Sync(); err != nil && firstErr == nil {

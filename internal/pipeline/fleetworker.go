@@ -277,11 +277,7 @@ func (w *fleetWorker) handleShardPoint(m shardPointMsg) error {
 		return w.send(shardDeltaMsg{RunID: m.RunID, Err: "boundary plan failed: " + sr.planErr})
 	}
 	sr.curIdx = m.Index
-	begin := sr.member.BeginPoint
-	if m.Batch {
-		begin = sr.member.BeginPointFP
-	}
-	boundary, err := begin(m.S, m.Warm)
+	boundary, err := sr.member.BeginPoint(m.S)
 	if err != nil {
 		workerPointErrors.Inc()
 		return w.send(shardDeltaMsg{RunID: m.RunID, Err: err.Error()})
@@ -289,13 +285,9 @@ func (w *fleetWorker) handleShardPoint(m shardPointMsg) error {
 	return w.send(shardDeltaMsg{RunID: m.RunID, Seq: 0, Boundary: boundary, ComputeNS: sr.computeNS()})
 }
 
-// handleShardSweep runs one exchange's sweeps over the local block — or,
-// on Finish, closes the point and answers with the block's slice of the
-// converged vector. An Early request ships the boundary rows in an
-// early frame while the interior still sweeps, and is always answered
-// with exactly two deltas — the early frame first, then the closing
-// frame carrying the increment norm — even when the member errors, so
-// the master's reply accounting never desyncs.
+// handleShardSweep runs one sweep over the local block — or, on
+// Finish, closes the point and answers with the block's slice of the
+// converged vector.
 func (w *fleetWorker) handleShardSweep(m shardSweepMsg) error {
 	sr := w.shards[m.RunID]
 	if sr == nil {
@@ -313,33 +305,12 @@ func (w *fleetWorker) handleShardSweep(m shardSweepMsg) error {
 		workerPoints.Inc()
 		return w.send(shardBlockMsg{RunID: m.RunID, Index: sr.curIdx, Data: data, ComputeNS: sr.computeNS()})
 	}
-	if !m.Early {
-		boundary, norm, err := sr.member.SweepN(m.Halo, m.Inner, nil)
-		if err != nil {
-			workerPointErrors.Inc()
-			return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
-		}
-		return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Boundary: boundary, Norm: norm, ComputeNS: sr.computeNS()})
-	}
-	earlySent := false
-	var sendErr error
-	_, norm, err := sr.member.SweepN(m.Halo, m.Inner, func(b []complex128) {
-		earlySent = true
-		sendErr = w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Boundary: b, Early: true})
-	})
-	if sendErr != nil {
-		return sendErr // transport failure: the relay is gone anyway
-	}
+	boundary, norm, err := sr.member.Sweep(m.Halo)
 	if err != nil {
 		workerPointErrors.Inc()
-		if !earlySent {
-			if serr := w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Early: true, Err: err.Error()}); serr != nil {
-				return serr
-			}
-		}
 		return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Err: err.Error()})
 	}
-	return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Norm: norm, ComputeNS: sr.computeNS()})
+	return w.send(shardDeltaMsg{RunID: m.RunID, Seq: m.Seq, Boundary: boundary, Norm: norm, ComputeNS: sr.computeNS()})
 }
 
 // handleBatch evaluates one assignment batch, streaming each point's

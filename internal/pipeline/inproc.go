@@ -22,7 +22,7 @@ type RunStats struct {
 	// Sharded-run counters: zero on batch and in-process runs.
 	Shards          int   // row blocks the kernel was split into (max across sessions)
 	Resharded       int   // sessions rebuilt after losing a shard member
-	ShardSweeps     int64 // distributed sweeps (inner sweeps included)
+	ShardSweeps     int64 // distributed sweeps, one halo exchange each
 	ShardExchanged  int64 // complex boundary/halo values moved between blocks
 	ShardComputeNS  int64 // summed member compute time (ns)
 	ShardCriticalNS int64 // per-sweep max member compute, summed (ns) — the sharded critical path

@@ -51,7 +51,7 @@ var (
 	fleetShardMembers = obs.Default.NewGauge("hydra_fleet_shard_members",
 		"Worker connections currently serving as shard members.")
 	fleetShardSweeps = obs.Default.NewCounter("hydra_fleet_shard_sweeps_total",
-		"Distributed sweeps conducted across shard members (inner sweeps included).")
+		"Distributed sweeps conducted across shard members.")
 	fleetShardReshards = obs.Default.NewCounter("hydra_fleet_shard_reshards_total",
 		"Shard sessions rebuilt after losing a member mid-run.")
 	// The exchange tax, measurable in production: how much of a sharded

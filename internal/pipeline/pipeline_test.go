@@ -304,11 +304,13 @@ func TestQuantityEvaluatorsAgreeWithSolver(t *testing.T) {
 		got := job.ReadPoint(vec)
 		var want complex128
 		switch q {
-		case PassageDensity:
-			want, err = sv.DirectDenseLST(s, src, []int{2})
-		case PassageCDF:
-			want, err = sv.DirectDenseLST(s, src, []int{2})
-			want /= s
+		case PassageDensity, PassageCDF:
+			var vec []complex128
+			vec, err = sv.DirectVectorLST(s, []int{2})
+			want = src.Dot(vec)
+			if q == PassageCDF {
+				want /= s
+			}
 		case TransientDist:
 			var vec []complex128
 			vec, err = sv.TransientVectorLST(s, []int{2})

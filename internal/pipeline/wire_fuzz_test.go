@@ -108,9 +108,9 @@ func FuzzFleetWireDecode(f *testing.F) {
 		shardStartMsg{RunID: 2, Header: header, Parts: 2, Part: 0},
 		shardPlanMsg{RunID: 2, Boundary: []int{0, 1}},
 		shardPointMsg{RunID: 2, Index: 0, S: 1.1 + 0.4i},
-		shardSweepMsg{RunID: 2, Seq: 1, Halo: make([]complex128, 6), Inner: 1, Early: true},
-		shardPointMsg{RunID: 2, Index: 1, S: 1.1 + 0.6i, Batch: true},
-		shardSweepMsg{RunID: 2, Seq: 1, Halo: make([]complex128, 6), Inner: 1 << 40},
+		shardSweepMsg{RunID: 2, Seq: 1, Halo: make([]complex128, 6)},
+		shardPointMsg{RunID: 2, Index: 1, S: 1.1 + 0.6i},
+		shardSweepMsg{RunID: 2, Seq: 1, Halo: make([]complex128, 6)},
 		shardSweepMsg{RunID: 2, Seq: 2, Halo: make([]complex128, 6), Finish: true},
 		shardEndMsg{RunID: 2},
 		assignBatchMsg{RunID: 1, Indices: []int{2}, Points: nil},
@@ -123,8 +123,8 @@ func FuzzFleetWireDecode(f *testing.F) {
 	f.Add(envelope(f, resultFrameMsg{RunID: 3, Last: true, Frames: []pointFrame{{Index: 12, Offset: -1, Total: 1 << 40}}}))
 
 	m := shardTestModel(f)
-	// A low sweep cap keeps hostile s-points (and inner-sweep counts)
-	// cheap; the handlers under test do not depend on it.
+	// A low sweep cap keeps hostile s-points cheap; the handlers under
+	// test do not depend on it.
 	opts := passage.Options{MaxR: 64}
 	welcome := encodeWire(f, true, welcomeMsg{Version: ProtocolVersion})
 

@@ -49,7 +49,7 @@ type RunStatsJSON struct {
 	// crossing blocks per exchange, summed member compute seconds, and
 	// the exchange tax — per-round wall beyond the slowest member's
 	// compute. exchange_seconds ≈ compute_seconds/shards means the wire
-	// dominates; raise -shard-inner or recruit fewer, larger blocks.
+	// dominates; recruit fewer, larger blocks.
 	ShardBoundary   int     `json:"shard_boundary_vertices,omitempty"`
 	ShardComputeSec float64 `json:"shard_compute_seconds,omitempty"`
 	ShardExchgSec   float64 `json:"shard_exchange_seconds,omitempty"`

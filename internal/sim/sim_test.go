@@ -120,11 +120,11 @@ func TestSimulationValidatesAnalyticPipeline(t *testing.T) {
 	pts := inv.Points(ts)
 	vals := make([]complex128, len(pts))
 	for i, sp := range pts {
-		v, err := sv.DirectDenseLST(sp, passage.SingleSource(0), []int{3})
+		v, err := sv.DirectVectorLST(sp, []int{3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals[i] = v / sp // CDF transform
+		vals[i] = v[0] / sp // CDF transform
 	}
 	cdf, err := inv.Invert(ts, vals)
 	if err != nil {
