@@ -123,16 +123,12 @@ func steadyStateGS(p *sparse.Matrix, opts Options) ([]float64, int, error) {
 		return nil, 0, ErrReducible
 	}
 	n, _ := p.Dims()
-	pt := p.Transpose() // row i of pt holds the incoming probabilities p_ji
-	selfLoop := make([]float64, n)
-	for i := 0; i < n; i++ {
-		selfLoop[i] = p.At(i, i)
-	}
+	op := newIncoming(p)
 	acc := newAnderson(n, andersonDepth)
 	accelerate := true
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		pi := acc.g
-		diff, sum, settled := sweep(pt, selfLoop, pi)
+		diff, sum, settled := op.sweep(pi)
 		if math.IsNaN(sum) || math.IsInf(sum, 0) {
 			return nil, iter + 1, fmt.Errorf("%w: sweep %d left a non-finite vector", ErrNotConverged, iter+1)
 		}
@@ -156,25 +152,65 @@ func steadyStateGS(p *sparse.Matrix, opts Options) ([]float64, int, error) {
 	return nil, opts.MaxIter, fmt.Errorf("%w after %d iterations", ErrNotConverged, opts.MaxIter)
 }
 
-// sweep runs one Gauss–Seidel pass over pi in place. It returns the
-// largest change it made to an entry, the mass Σπ it left, and whether
-// every entry moved by at most relTol of its new value.
-func sweep(pt *sparse.Matrix, selfLoop, pi []float64) (diff, sum float64, settled bool) {
-	settled = true
-	for i := range pi {
-		var in float64
-		pt.Row(i, func(j int, v float64) {
-			if j != i {
-				in += v * pi[j]
+// incoming is the Gauss–Seidel operator of the normal equations
+// π_i = Σ_{j≠i} π_j·p_ji / (1 − p_ii): row i holds the incoming
+// probabilities p_ji in ascending j with the diagonal dropped, and
+// denom[i] is 1 − p_ii.
+type incoming struct {
+	rowPtr []int
+	col    []int32
+	val    []float64
+	denom  []float64
+}
+
+func newIncoming(p *sparse.Matrix) *incoming {
+	n, _ := p.Dims()
+	op := &incoming{rowPtr: make([]int, n+1), denom: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		p.Row(i, func(j int, v float64) {
+			if j == i {
+				op.denom[i] = v // p_ii, until the loop below
+			} else {
+				op.rowPtr[j+1]++
 			}
 		})
-		denom := 1 - selfLoop[i]
+	}
+	for i := 0; i < n; i++ {
+		op.rowPtr[i+1] += op.rowPtr[i]
+		denom := 1 - op.denom[i]
 		if denom <= 0 {
 			// Absorbing state: impossible in an irreducible chain
 			// with n > 1, but guard against degenerate input.
 			denom = 1
 		}
-		next := in / denom
+		op.denom[i] = denom
+	}
+	op.col = make([]int32, op.rowPtr[n])
+	op.val = make([]float64, op.rowPtr[n])
+	next := append([]int(nil), op.rowPtr[:n]...)
+	for i := 0; i < n; i++ {
+		p.Row(i, func(j int, v float64) {
+			if j != i {
+				op.col[next[j]] = int32(i)
+				op.val[next[j]] = v
+				next[j]++
+			}
+		})
+	}
+	return op
+}
+
+// sweep runs one Gauss–Seidel pass over pi in place. It returns the
+// largest change it made to an entry, the mass Σπ it left, and whether
+// every entry moved by at most relTol of its new value.
+func (op *incoming) sweep(pi []float64) (diff, sum float64, settled bool) {
+	settled = true
+	for i := range pi {
+		var in float64
+		for k := op.rowPtr[i]; k < op.rowPtr[i+1]; k++ {
+			in += op.val[k] * pi[op.col[k]]
+		}
+		next := in / op.denom[i]
 		d := math.Abs(next - pi[i])
 		if d > diff {
 			diff = d

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hydra/internal/petri"
 	"hydra/internal/sparse"
+	"hydra/internal/voting"
 )
 
 // chain builds a sparse stochastic matrix from dense rows.
@@ -210,20 +212,89 @@ func TestGaussSeidelMatchesPowerNearlyDecomposable(t *testing.T) {
 // meet SteadyStateGS's stopping test.
 func plainGSSweeps(p *sparse.Matrix, tol float64) int {
 	n, _ := p.Dims()
-	pt := p.Transpose()
-	selfLoop := make([]float64, n)
+	op := newIncoming(p)
 	pi := make([]float64, n)
 	for i := range pi {
-		selfLoop[i] = p.At(i, i)
 		pi[i] = 1 / float64(n)
 	}
 	for iter := 1; ; iter++ {
-		diff, sum, settled := sweep(pt, selfLoop, pi)
+		diff, sum, settled := op.sweep(pi)
 		if diff < tol*sum && settled {
 			return iter
 		}
 		for i := range pi {
 			pi[i] /= sum
+		}
+	}
+}
+
+// transposeSweep is the Gauss–Seidel pass as a closure over each row of
+// Pᵀ, skipping the diagonal, with p_ii looked up separately: the
+// reference the incoming operator must reproduce bit for bit.
+func transposeSweep(pt *sparse.Matrix, selfLoop, pi []float64) (diff, sum float64, settled bool) {
+	settled = true
+	for i := range pi {
+		var in float64
+		pt.Row(i, func(j int, v float64) {
+			if j != i {
+				in += v * pi[j]
+			}
+		})
+		denom := 1 - selfLoop[i]
+		if denom <= 0 {
+			denom = 1
+		}
+		next := in / denom
+		d := math.Abs(next - pi[i])
+		if d > diff {
+			diff = d
+		}
+		if d > relTol*next {
+			settled = false
+		}
+		pi[i] = next
+		sum += next
+	}
+	return diff, sum, settled
+}
+
+// TestIncomingSweepMatchesTransposeSweep holds the incoming operator's
+// sweep to the transpose-and-closure sweep, bit for bit, over 200
+// normalised sweeps of voting system 0's embedded chain, and on a chain
+// with self-loops.
+func TestIncomingSweepMatchesTransposeSweep(t *testing.T) {
+	ss, err := voting.BuildSystem(0, voting.DefaultDurations(), petri.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := nearlyDecomposable(rand.New(rand.NewSource(5)), 60, 1e-3)
+	for name, p := range map[string]*sparse.Matrix{"voting 0": ss.Model.EmbeddedDTMC(), "self-loops": chain(rows)} {
+		n, _ := p.Dims()
+		pt := p.Transpose()
+		selfLoop := make([]float64, n)
+		for i := range selfLoop {
+			selfLoop[i] = p.At(i, i)
+		}
+		op := newIncoming(p)
+		got := make([]float64, n)
+		want := make([]float64, n)
+		for i := range got {
+			got[i] = 1 / float64(n)
+			want[i] = got[i]
+		}
+		for sweep := 0; sweep < 200; sweep++ {
+			gd, gs, gOK := op.sweep(got)
+			wd, ws, wOK := transposeSweep(pt, selfLoop, want)
+			if gd != wd || gs != ws || gOK != wOK {
+				t.Fatalf("%s sweep %d: (diff, sum, settled) = (%v, %v, %v), reference (%v, %v, %v)", name, sweep, gd, gs, gOK, wd, ws, wOK)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s sweep %d: π[%d] = %v, reference %v", name, sweep, i, got[i], want[i])
+				}
+				got[i] /= gs
+				want[i] /= ws
+			}
 		}
 	}
 }

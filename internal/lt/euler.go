@@ -85,13 +85,13 @@ func (e Euler) Invert(ts []float64, values []complex128) ([]float64, error) {
 	}
 	out := make([]float64, len(ts))
 	binom := binomials(e.E)
+	sums := make([]float64, per)
 	for i, t := range ts {
 		vals := values[i*per : (i+1)*per]
 		scale := math.Exp(e.A/2) / (2 * t)
 		// Partial sums s_0..s_{M+E}; s_n includes terms k=1..n.
 		head := scale * real(vals[0])
 		partial := head
-		sums := make([]float64, e.M+e.E+1)
 		sums[0] = partial
 		sign := -1.0
 		for k := 1; k <= e.M+e.E; k++ {

@@ -3,7 +3,6 @@ package lt
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // Laguerre is the Abate–Choudhury–Whitt (1996) Laguerre-series inversion
@@ -127,28 +126,8 @@ func (l Laguerre) Invert(ts []float64, values []complex128) ([]float64, error) {
 	if len(values) != l.N {
 		return nil, fmt.Errorf("lt: Laguerre.Invert: %d values, want %d", len(values), l.N)
 	}
-	r := l.radius()
 	c := l.scale(ts)
-	// Q(z_j) = F_g(s(z_j)) / (1 − z_j) with F_g(s) = F((s+σ)/c)/c; the
-	// caller supplied F at exactly (s+σ)/c so F_g's 1/c factor is applied
-	// here.
-	qz := make([]complex128, l.N)
-	for j := 0; j < l.N; j++ {
-		theta := 2 * math.Pi * float64(j) / float64(l.N)
-		z := complex(r*math.Cos(theta), r*math.Sin(theta))
-		qz[j] = values[j] / complex(c, 0) / (1 - z)
-	}
-	// q_n = (1/(N·Rⁿ))·Σ_j Q(z_j)·e^{−2πijn/N} by direct DFT (N=400,
-	// Coeffs=200 is ~80k complex multiplies — no FFT needed).
-	q := make([]float64, l.Coeffs)
-	for n := 0; n < l.Coeffs; n++ {
-		var acc complex128
-		for j := 0; j < l.N; j++ {
-			theta := -2 * math.Pi * float64(j) * float64(n) / float64(l.N)
-			acc += qz[j] * cmplx.Exp(complex(0, theta))
-		}
-		q[n] = real(acc) / (float64(l.N) * math.Pow(r, float64(n)))
-	}
+	q := l.coefficients(c, values)
 	out := make([]float64, len(ts))
 	for i, t := range ts {
 		u := t / c
@@ -177,6 +156,42 @@ func (l Laguerre) Invert(ts []float64, values []complex128) ([]float64, error) {
 	return out, nil
 }
 
+// coefficients returns the Laguerre coefficients q_0..q_{Coeffs−1} of
+// the time-scaled original from the transform values at Points:
+//
+//	q_n = (1/(N·Rⁿ))·Re Σ_j Q(z_j)·e^{−2πijn/N},  Q(z_j) = F_g(s(z_j))/(1 − z_j),
+//
+// a direct DFT (N=400, Coeffs=200 is ~80k multiplies — no FFT needed)
+// whose twiddle factors e^{−2πik/N} are tabulated once and indexed by
+// k = j·n mod N. Only the real part of each sum is kept.
+func (l Laguerre) coefficients(c float64, values []complex128) []float64 {
+	r := l.radius()
+	// F_g(s) = F((s+σ)/c)/c; the caller supplied F at exactly (s+σ)/c,
+	// so F_g's 1/c factor is applied here.
+	qz := make([]complex128, l.N)
+	twiddle := make([]complex128, l.N)
+	for j := 0; j < l.N; j++ {
+		theta := 2 * math.Pi * float64(j) / float64(l.N)
+		cos, sin := math.Cos(theta), math.Sin(theta)
+		qz[j] = values[j] / complex(c, 0) / (1 - complex(r*cos, r*sin))
+		twiddle[j] = complex(cos, -sin)
+	}
+	q := make([]float64, l.Coeffs)
+	for n := range q {
+		var acc float64
+		k := 0
+		for j := 0; j < l.N; j++ {
+			w := twiddle[k]
+			acc += real(qz[j])*real(w) - imag(qz[j])*imag(w)
+			if k += n; k >= l.N {
+				k -= l.N
+			}
+		}
+		q[n] = acc / (float64(l.N) * math.Pow(r, float64(n)))
+	}
+	return q
+}
+
 // CoefficientDecay reports max |q_n| over the last quarter of the
 // coefficient range relative to the overall max — a cheap smoothness
 // diagnostic. Values near 1 indicate the expansion is not converging and
@@ -187,17 +202,9 @@ func (l Laguerre) CoefficientDecay(ts []float64, values []complex128) (float64, 
 	if len(values) != l.N {
 		return 0, fmt.Errorf("lt: CoefficientDecay: %d values, want %d", len(values), l.N)
 	}
-	r := l.radius()
-	c := l.scale(ts)
 	var maxAll, maxTail float64
-	for n := 0; n < l.Coeffs; n++ {
-		var acc complex128
-		for j := 0; j < l.N; j++ {
-			theta := 2 * math.Pi * float64(j) / float64(l.N)
-			z := complex(r*math.Cos(theta), r*math.Sin(theta))
-			acc += values[j] / complex(c, 0) / (1 - z) * cmplx.Exp(complex(0, -theta*float64(n)))
-		}
-		qn := math.Abs(real(acc)) / (float64(l.N) * math.Pow(r, float64(n)))
+	for n, qn := range l.coefficients(l.scale(ts), values) {
+		qn = math.Abs(qn)
 		if qn > maxAll {
 			maxAll = qn
 		}

@@ -2,6 +2,7 @@ package lt
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -331,6 +332,136 @@ func TestLaguerreAutoScaleHandlesLargeTimes(t *testing.T) {
 		}
 		if f[i] < 0 || f[i] > 0.02 {
 			t.Errorf("t=%v: density %v outside plausible range", ts[i], f[i])
+		}
+	}
+}
+
+// eulerInvertPerT is Euler.Invert as it stood with a partial-sum slice
+// allocated per t-point: the reference for the one-buffer version.
+func eulerInvertPerT(e Euler, ts []float64, values []complex128) []float64 {
+	per := e.PointsPerT()
+	out := make([]float64, len(ts))
+	binom := binomials(e.E)
+	for i, t := range ts {
+		vals := values[i*per : (i+1)*per]
+		scale := math.Exp(e.A/2) / (2 * t)
+		partial := scale * real(vals[0])
+		sums := make([]float64, e.M+e.E+1)
+		sums[0] = partial
+		sign := -1.0
+		for k := 1; k <= e.M+e.E; k++ {
+			partial += 2 * scale * sign * real(vals[k])
+			sums[k] = partial
+			sign = -sign
+		}
+		var acc float64
+		for j := 0; j <= e.E; j++ {
+			acc += binom[j] * sums[e.M+j]
+		}
+		out[i] = acc / math.Exp2(float64(e.E))
+	}
+	return out
+}
+
+// laguerreInvertExp is Laguerre.Invert with one cmplx.Exp per DFT term:
+// the reference for the tabulated twiddle factors.
+func laguerreInvertExp(l Laguerre, ts []float64, values []complex128) []float64 {
+	r := l.radius()
+	c := l.scale(ts)
+	qz := make([]complex128, l.N)
+	for j := 0; j < l.N; j++ {
+		theta := 2 * math.Pi * float64(j) / float64(l.N)
+		z := complex(r*math.Cos(theta), r*math.Sin(theta))
+		qz[j] = values[j] / complex(c, 0) / (1 - z)
+	}
+	q := make([]float64, l.Coeffs)
+	for n := 0; n < l.Coeffs; n++ {
+		var acc complex128
+		for j := 0; j < l.N; j++ {
+			theta := -2 * math.Pi * float64(j) * float64(n) / float64(l.N)
+			acc += qz[j] * cmplx.Exp(complex(0, theta))
+		}
+		q[n] = real(acc) / (float64(l.N) * math.Pow(r, float64(n)))
+	}
+	out := make([]float64, len(ts))
+	for i, t := range ts {
+		u := t / c
+		l0 := math.Exp(-u / 2)
+		l1 := (1 - u) * l0
+		sum := q[0]*l0 + q[1]*l1
+		prev2, prev1 := l0, l1
+		for n := 2; n < l.Coeffs; n++ {
+			ln := ((2*float64(n)-1-u)*prev1 - (float64(n)-1)*prev2) / float64(n)
+			sum += q[n] * ln
+			prev2, prev1 = prev1, ln
+		}
+		out[i] = math.Exp(l.Sigma*u) * sum
+	}
+	return out
+}
+
+// TestInvertMatchesReferenceFormulas holds both inverters to their
+// direct formulas. Euler's one partial-sum buffer must reproduce the
+// per-t slices bit for bit. Laguerre's tabulated twiddle factors differ
+// from one cmplx.Exp per DFT term by that formula's own rounding: its
+// angle −2πjn/N reaches ~1,250 rad, so the rounded argument is off by
+// ~1e-13, and the 1/Rⁿ factor (1e5 at n = 200) carries that into f at
+// ~1e-10. So Laguerre must agree with the reference to 1e-9 of the
+// largest value and be no farther from the closed form than it is.
+func TestInvertMatchesReferenceFormulas(t *testing.T) {
+	d := dist.NewErlang(3, 2)
+	ts := []float64{0.1, 0.4, 1, 1.7, 3, 5}
+	density := func(t float64) float64 { return 9 * t * math.Exp(-3*t) }
+	cdf := func(t float64) float64 { return 1 - math.Exp(-3*t)*(1+3*t) }
+	cdfLST := func(s complex128) complex128 { return d.LST(s) / s }
+	eulerCDF := Euler{A: 20, M: 30, E: 14}
+	damped := Laguerre{N: 400, Coeffs: 200, Sigma: 0.5, TimeScale: 1}
+	cases := []struct {
+		name  string
+		inv   Inverter
+		lst   func(complex128) complex128
+		exact func(float64) float64
+	}{
+		{"euler density", DefaultEuler(), d.LST, density},
+		{"euler cdf", eulerCDF, cdfLST, cdf},
+		{"laguerre density", DefaultLaguerre(), d.LST, density},
+		{"laguerre damped cdf", damped, cdfLST, cdf},
+	}
+	for _, tc := range cases {
+		pts := tc.inv.Points(ts)
+		vals := make([]complex128, len(pts))
+		for i, s := range pts {
+			vals[i] = tc.lst(s)
+		}
+		got, err := tc.inv.Invert(ts, vals)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		switch inv := tc.inv.(type) {
+		case Euler:
+			want := eulerInvertPerT(inv, ts, vals)
+			for i := range ts {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s: f(%v) = %.17g, reference %.17g", tc.name, ts[i], got[i], want[i])
+				}
+			}
+		case Laguerre:
+			want := laguerreInvertExp(inv, ts, vals)
+			var scale, errGot, errWant float64
+			for i, tt := range ts {
+				scale = math.Max(scale, math.Abs(want[i]))
+				errGot = math.Max(errGot, math.Abs(got[i]-tc.exact(tt)))
+				errWant = math.Max(errWant, math.Abs(want[i]-tc.exact(tt)))
+			}
+			for i := range ts {
+				if d := math.Abs(got[i] - want[i]); d > 1e-9*scale {
+					t.Errorf("%s: f(%v) = %.17g, reference %.17g (|Δ|/max %.2g)", tc.name, ts[i], got[i], want[i], d/scale)
+				}
+			}
+			t.Logf("%s: max error against the closed form %.2g, reference formula %.2g", tc.name, errGot, errWant)
+			if errGot > errWant {
+				t.Errorf("%s: tabulated twiddles are farther from the closed form (%.2g) than cmplx.Exp (%.2g)", tc.name, errGot, errWant)
+			}
 		}
 	}
 }

@@ -186,20 +186,29 @@ type Job struct {
 func (j *Job) Spec() *SolveSpec { return &j.SolveSpec }
 
 // Validate performs structural checks against a model size: the
-// embedded spec's checks plus the source weighting's. Weights must be
-// finite and non-negative with positive total mass — a NaN, an Inf, a
-// negative entry or an all-zero vector would silently poison every
-// curve read from the solve.
+// embedded spec's checks plus the source weighting's (see
+// ValidateWeighting).
 func (j *Job) Validate(n int) error {
-	if len(j.Sources) == 0 || len(j.Sources) != len(j.Weights) {
+	if err := ValidateWeighting(j.Sources, j.Weights, n); err != nil {
+		return err
+	}
+	return j.SolveSpec.Validate(n)
+}
+
+// ValidateWeighting checks a source weighting against a model of n
+// states. Weights must be finite and non-negative with positive total
+// mass — a NaN, an Inf, a negative entry or an all-zero vector would
+// silently poison every curve read through it.
+func ValidateWeighting(sources []int, weights []float64, n int) error {
+	if len(sources) == 0 || len(sources) != len(weights) {
 		return fmt.Errorf("pipeline: malformed sources/weights")
 	}
 	var sum float64
-	for i, s := range j.Sources {
+	for i, s := range sources {
 		if s < 0 || s >= n {
 			return fmt.Errorf("pipeline: source %d outside model of %d states", s, n)
 		}
-		w := j.Weights[i]
+		w := weights[i]
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			return fmt.Errorf("pipeline: non-finite weight %v for source %d", w, s)
 		}
@@ -211,7 +220,7 @@ func (j *Job) Validate(n int) error {
 	if sum == 0 {
 		return fmt.Errorf("pipeline: source weights are all zero")
 	}
-	return j.SolveSpec.Validate(n)
+	return nil
 }
 
 // ReadPoint reduces one s-point's vector result to the job's scalar:

@@ -30,12 +30,13 @@ func surfaceFingerprint(modelID string, targets []int, method string) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// surfaceCache is a small LRU of built quantile surfaces. A surface is
-// a few KB of grid plus its per-weighting columns — cheap to hold, very
-// expensive to rebuild — so the cap is generous relative to how many
-// distinct (model, targets, method) triples a deployment queries. The
-// underlying s-point vectors also live in the tiered result cache, so
-// an evicted surface rebuilds from cached points, not from the solver.
+// surfaceCache is a small LRU of built quantile surfaces. A surface
+// holds n × grid × 8 B of per-state CDF values (1.7 MB for voting system
+// 0's 2,061 states on a 104-point grid) plus 2 × grid × 8 B per source
+// set queried — cheap next to a rebuild — and the cap bounds the count,
+// not the bytes. The underlying s-point vectors live in the tiered
+// result cache, so an evicted surface rebuilds from cached points, not
+// from the solver.
 type surfaceCache struct {
 	max     int
 	ll      *list.List // front = most recent

@@ -129,10 +129,14 @@ func (e *DefectiveError) Error() string {
 		e.P, e.TMax, e.FMax, why)
 }
 
-// surfaceRun is one solve contributing a subset of the grid's t-points.
+// surfaceRun is one solve contributing a subset of the grid's t-points,
+// kept as every state's CDF at those times: cdf[st*len(times)+i] is
+// F_st(times[i]), inverted once when the run is added. Both inverters
+// are linear, so any weighting's CDF is the same weighting of these
+// values and the transform vectors need not outlive addRun.
 type surfaceRun struct {
 	times []float64
-	vr    *VectorRun
+	cdf   []float64
 }
 
 // surfaceColumn is one source weighting's monotone CDF over the grid,
@@ -145,10 +149,12 @@ type surfaceColumn struct {
 // Surface is a precomputed passage-time CDF surface for one
 // (model, targets, method): a monotone CDF on an adaptive time grid,
 // evaluated from vector solves so it serves EVERY source weighting.
-// Building it costs one solve per grid stage; after that a quantile
-// query is a binary search plus one monotone-cubic inversion — no
-// solver work, no transform inversions beyond the per-weighting column
-// build (one inversion per grid point, done once and cached).
+// Building it costs one solve per grid stage plus one inversion per
+// (state, stage); it then holds each state's CDF on the grid, NumStates
+// × len(Times) float64s, and one column per source set queried. A
+// quantile query is a binary search plus one monotone-cubic inversion —
+// no solver work and no transform inversion; a source set's first query
+// builds its column as a weighted sum of the per-state CDFs.
 //
 // A Surface is safe for concurrent use once built.
 type Surface struct {
@@ -157,7 +163,7 @@ type Surface struct {
 	opts    *Options // concrete-method copy used for every run and read
 
 	times   []float64    // sorted grid
-	runs    []surfaceRun // each holds the vectors for a subset of times
+	runs    []surfaceRun // each holds the per-state CDFs at a subset of times
 	stats   *RunStats    // aggregated build statistics
 	solves  int          // grid stages solved
 	plateau bool         // tail extensions stopped gaining mass
@@ -238,10 +244,7 @@ func (m *Model) PassageSurface(name string, targets []int, cache Cache, opts *Op
 	// is steep: a slow minority source's tail climb is invisible to the
 	// uniform mixture but dominates that source's own quantiles.
 	for pass := 0; pass < so.MaxRefine; pass++ {
-		jumps, head, err := s.intervalJumps()
-		if err != nil {
-			return nil, err
-		}
+		jumps, head := s.intervalJumps()
 		var add []float64
 		if head > so.RefineJump {
 			add = append(add, s.times[0]/2)
@@ -266,39 +269,24 @@ func (m *Model) PassageSurface(name string, targets []int, cache Cache, opts *Op
 // already holds at the first grid point. Both are upper bounds over
 // every servable weighting (each is a convex combination of per-state
 // columns), so the refinement loop above splits an interval exactly when
-// some weighting could be steep inside it. Cost is one inversion per
-// (state, grid point) — linear in states, well under the solve that
-// produced the vectors. It reads what ReadRun reads for each single
-// state, checking each run's vectors once.
-func (s *Surface) intervalJumps() ([]float64, float64, error) {
-	inv, err := s.opts.inverter()
-	if err != nil {
-		return nil, 0, err
-	}
-	n := s.model.NumStates()
-	for _, run := range s.runs {
-		for i, vec := range run.vr.Vectors {
-			if len(vec) != n {
-				return nil, 0, &PointVectorError{Point: i, Len: len(vec), Want: n}
-			}
+// some weighting could be steep inside it. It reads the runs' stored
+// per-state CDFs, the values ReadRun gives for each single state.
+func (s *Surface) intervalJumps() ([]float64, float64) {
+	at := make([][]int, len(s.runs)) // grid index of each run's times
+	for r, run := range s.runs {
+		at[r] = make([]int, len(run.times))
+		for i, t := range run.times {
+			at[r][i] = s.gridIndex(t)
 		}
 	}
 	jumps := make([]float64, len(s.times)-1)
 	vals := make([]float64, len(s.times))
 	var head float64
-	var col []complex128
-	for st := 0; st < n; st++ {
-		for _, run := range s.runs {
-			col = col[:0]
-			for _, vec := range run.vr.Vectors {
-				col = append(col, vec[st])
-			}
-			f, err := inv.Invert(run.times, col)
-			if err != nil {
-				return nil, 0, err
-			}
-			for i, t := range run.times {
-				vals[s.gridIndex(t)] = f[i]
+	for st := 0; st < s.model.NumStates(); st++ {
+		for r, run := range s.runs {
+			row := run.cdf[st*len(run.times) : (st+1)*len(run.times)]
+			for i, v := range row {
+				vals[at[r][i]] = v
 			}
 		}
 		// Clamp the same inversion noise buildColumn tolerates; a
@@ -321,7 +309,7 @@ func (s *Surface) intervalJumps() ([]float64, float64, error) {
 			}
 		}
 	}
-	return jumps, head, nil
+	return jumps, head
 }
 
 // surfaceSeedRange brackets the passage-time mass for the seed grid
@@ -380,8 +368,9 @@ func geomGrid(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// addRun solves the spec at the given new times and merges them into the
-// grid. Times already on the grid are skipped.
+// addRun solves the spec at the given new times, inverts every state's
+// transforms at them and merges them into the grid. Times already on
+// the grid are skipped.
 func (s *Surface) addRun(name string, times []float64, cache Cache) error {
 	var fresh []float64
 	for _, t := range times {
@@ -401,7 +390,11 @@ func (s *Surface) addRun(name string, times []float64, cache Cache) error {
 	if err != nil {
 		return err
 	}
-	s.runs = append(s.runs, surfaceRun{times: fresh, vr: vr})
+	cdf, err := s.invertStates(vr, fresh)
+	if err != nil {
+		return err
+	}
+	s.runs = append(s.runs, surfaceRun{times: fresh, cdf: cdf})
 	s.times = append(s.times, fresh...)
 	sort.Float64s(s.times)
 	s.solves++
@@ -411,6 +404,36 @@ func (s *Surface) addRun(name string, times []float64, cache Cache) error {
 	s.columns = make(map[string]*surfaceColumn)
 	s.mu.Unlock()
 	return nil
+}
+
+// invertStates inverts each state's transforms in vr at times: the
+// state-major block a surfaceRun keeps. A vector of the wrong width (a
+// corrupt checkpoint record, a mixed-version cache entry) fails with
+// *PointVectorError, as ReadRun would.
+func (s *Surface) invertStates(vr *VectorRun, times []float64) ([]float64, error) {
+	inv, err := s.opts.inverter()
+	if err != nil {
+		return nil, err
+	}
+	n := s.model.NumStates()
+	for i, vec := range vr.Vectors {
+		if len(vec) != n {
+			return nil, &PointVectorError{Point: i, Len: len(vec), Want: n}
+		}
+	}
+	cdf := make([]float64, 0, n*len(times))
+	col := make([]complex128, len(vr.Vectors))
+	for st := 0; st < n; st++ {
+		for i, vec := range vr.Vectors {
+			col[i] = vec[st]
+		}
+		f, err := inv.Invert(times, col)
+		if err != nil {
+			return nil, err
+		}
+		cdf = append(cdf, f...)
+	}
+	return cdf, nil
 }
 
 func (s *Surface) hasTime(t float64) bool {
@@ -461,19 +484,36 @@ func (s *Surface) column(sources []int) (*surfaceColumn, error) {
 	return col, nil
 }
 
-// buildColumn reads every run through the weighting (one inversion per
-// grid point), sanitizes the inversion noise and enforces monotonicity
-// by isotone clamping, then fits the monotone cubic slopes.
-func (s *Surface) buildColumn(states []int, weights []float64) (*surfaceColumn, error) {
+// weightedCDF is Σ_k w_k·F_{s_k}(t) at every grid point: the value
+// ReadRun inverts from the weighted transforms, up to rounding. The
+// weighting passes ReadRun's checks first.
+func (s *Surface) weightedCDF(states []int, weights []float64) ([]float64, error) {
+	if err := pipeline.ValidateWeighting(states, weights, s.model.NumStates()); err != nil {
+		return nil, err
+	}
 	f := make([]float64, len(s.times))
 	for _, run := range s.runs {
-		r, err := ReadRun(run.vr, states, weights, run.times, s.opts)
-		if err != nil {
-			return nil, err
+		acc := make([]float64, len(run.times))
+		for k, st := range states {
+			w := weights[k]
+			for i, v := range run.cdf[st*len(run.times) : (st+1)*len(run.times)] {
+				acc[i] += w * v
+			}
 		}
 		for i, t := range run.times {
-			f[s.gridIndex(t)] = r.Values[i]
+			f[s.gridIndex(t)] = acc[i]
 		}
+	}
+	return f, nil
+}
+
+// buildColumn reads the weighting's CDF off the stored per-state
+// values, sanitizes the inversion noise and enforces monotonicity by
+// isotone clamping, then fits the monotone cubic slopes.
+func (s *Surface) buildColumn(states []int, weights []float64) (*surfaceColumn, error) {
+	f, err := s.weightedCDF(states, weights)
+	if err != nil {
+		return nil, err
 	}
 	for i, v := range f {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -504,9 +544,10 @@ func (s *Surface) gridIndex(t float64) int {
 // Quantile returns the time t* with F(t*) = p for the source set: a
 // binary search over the grid plus one monotone-cubic inversion. The
 // sources are resolved through the model's Eq. (5) weighting; the first
-// query for a weighting builds its CDF column (one inversion per grid
-// point), later queries reuse it. A probability level beyond the mass
-// the grid reached returns a *DefectiveError instead of extrapolating.
+// query for a weighting builds its CDF column (a weighted sum of the
+// stored per-state CDFs), later queries reuse it. A probability level
+// beyond the mass the grid reached returns a *DefectiveError instead of
+// extrapolating.
 func (s *Surface) Quantile(sources []int, p float64) (float64, error) {
 	if !(p > 0 && p < 1) {
 		return 0, fmt.Errorf("hydra: quantile probability %v outside (0,1)", p)

@@ -3,6 +3,7 @@ package hydra_test
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"hydra"
@@ -226,5 +227,79 @@ func TestCanonicalStates(t *testing.T) {
 	}
 	if in[0] != 5 || in[1] != 1 {
 		t.Fatalf("input mutated: %v", in)
+	}
+}
+
+// TestSurfaceConcurrentColumns reads one surface from 8 goroutines at
+// once, each on its own source set so each builds a column while the
+// others do: every Quantile and CDF must equal the serial read of the
+// same surface afterwards.
+func TestSurfaceConcurrentColumns(t *testing.T) {
+	src := `
+\model{
+  \statevector{ \type{short}{k} }
+  \initial{ k = 0; }
+  \transition{up}{ \condition{k < 9} \action{next->k = k+1;} \sojourntimeLT{expLT(3,s)} }
+  \transition{down}{ \condition{k > 0} \action{next->k = k-1;} \sojourntimeLT{expLT(1,s)} }
+}
+`
+	m, err := hydra.LoadSpec(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ki := m.PlaceIndex("k")
+	s, err := m.PassageSurface("", m.States(func(mk hydra.Marking) bool { return mk[ki] == 9 }), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	sourceSet := func(g int) []int {
+		set := m.States(func(mk hydra.Marking) bool { return int(mk[ki]) == g })
+		if g%2 == 1 {
+			set = append(set, m.States(func(mk hydra.Marking) bool { return int(mk[ki]) == g-1 })...)
+		}
+		return set
+	}
+	levels := []float64{0.1, 0.5, 0.9}
+	times := []float64{0.5, 2, 8}
+	read := func(sources []int) ([]float64, error) {
+		var out []float64
+		for i, p := range levels {
+			q, err := s.Quantile(sources, p)
+			if err != nil {
+				return nil, err
+			}
+			f, err := s.CDF(sources, times[i])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, q, f)
+		}
+		return out, nil
+	}
+	got := make([][]float64, readers)
+	errs := make([]error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = read(sourceSet(g))
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < readers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("reader %d: %v", g, errs[g])
+		}
+		want, err := read(sourceSet(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[g][i]) != math.Float64bits(want[i]) {
+				t.Errorf("reader %d value %d: concurrent %v, serial %v", g, i, got[g][i], want[i])
+			}
+		}
 	}
 }
